@@ -8,7 +8,7 @@ t-line, and computes canonical heights of the marked points.
 
 __version__ = "0.1.0"
 
-from .arith import IntPolynomial, PrimeFieldElement, Rational, RationalMatrix
+from .arith import IntPolynomial, Rational
 from .elliptic import (
     CurvePoint,
     Genus1Point,

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic and exact linear algebra.
 
-Rationals, prime fields F_p (p > 3), modular square and cube roots,
-integer polynomials, rational root extraction, fraction-free determinants
-and characteristic polynomials.  Every operation in this module is exact;
+Primes and factoring, exact integer and rational k-th roots, the rational
+text form, cube roots mod p, integer polynomials, rational root extraction
+and fraction-free determinants.  Every operation in this module is exact;
 no floating point anywhere.
 """
 
@@ -76,123 +76,47 @@ def divisors_from_factorization(fac: dict[int, int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# prime fields
+# exact roots, residues mod p, rational text
 
-@dataclass(frozen=True)
-class PrimeFieldElement:
-    """An element of F_p with p a prime > 3; value stored reduced in [0, p)."""
+def int_root(n: int, k: int) -> int | None:
+    """The integer r with r**k == n, or None.  A negative n has a root only
+    for odd k; for even k the root returned is the nonnegative one."""
+    if n < 0:
+        if k % 2 == 0:
+            return None
+        r = int_root(-n, k)
+        return None if r is None else -r
+    from sympy import integer_nthroot
 
-    value: int
-    p: int
+    r, exact = integer_nthroot(n, k)
+    return int(r) if exact else None
 
-    def __post_init__(self):
-        if self.p <= 3 or not is_prime(self.p):
-            raise ValueError(f"modulus must be a prime > 3, got {self.p}")
-        object.__setattr__(self, "value", self.value % self.p)
+
+def rational_root(z, k: int) -> Fraction | None:
+    """The rational s with s**k == z (nonnegative for even k), or None."""
+    z = Fraction(z)
+    num, den = int_root(z.numerator, k), int_root(z.denominator, k)
+    if num is None or den is None:
+        return None
+    return Fraction(num, den)
+
+
+def rat_str(r) -> str:
+    """A rational as "m" or "m/n" in lowest terms."""
+    r = Fraction(r)
+    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 
 def inv_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-def _sqrt_int(z: int, p: int) -> int | None:
-    """One square root of z mod p, or None (Tonelli-Shanks)."""
-    z %= p
-    if z == 0:
-        return 0
-    if pow(z, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(z, (p + 1) // 4, p)
-    # write p-1 = 2^s * q with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    c = 2
-    while pow(c, (p - 1) // 2, p) != p - 1:
-        c += 1
-    c = pow(c, q, p)
-    r = pow(z, (q + 1) // 2, p)
-    t = pow(z, q, p)
-    m = s
-    while t != 1:
-        # find least i with t^(2^i) = 1
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return r
-
-
-def _cube_roots_int(z: int, p: int) -> list[int]:
-    """All cube roots of z mod p, sorted.
-
-    p = 2 mod 3: cubing is a bijection, the unique root is z^((2p-1)/3).
-    p = 1 mod 3: Adleman-Manders-Miller descent in the 3-Sylow subgroup;
-    0 or 3 roots.
-    """
-    z %= p
-    if z == 0:
-        return [0]
-    if p % 3 == 2:
-        r = pow(z, (2 * p - 1) // 3, p)
-        assert pow(r, 3, p) == z
-        return [r]
-    if pow(z, (p - 1) // 3, p) != 1:
-        return []
-    # p-1 = 3^s * t with 3 not dividing t
-    s, t = 0, p - 1
-    while t % 3 == 0:
-        s += 1
-        t //= 3
-    # cubic non-residue c; b generates the 3-Sylow subgroup
-    c = 2
-    while pow(c, (p - 1) // 3, p) == 1:
-        c += 1
-    b = pow(c, t, p)
-    omega = pow(b, 3 ** (s - 1), p)  # primitive cube root of unity
-    # initial guess x with x^3 = z * err, err in the Sylow subgroup
-    l = 1 if (t + 1) % 3 == 0 else 2
-    x = pow(z, (l * t + 1) // 3, p)
-    err = pow(x, 3, p) * inv_mod(z, p) % p
-    # peel the discrete log of err base b, one base-3 digit at a time
-    m, basepow = 0, 1
-    for i in range(s):
-        e = pow(err * inv_mod(pow(b, m, p), p) % p, 3 ** (s - 1 - i), p)
-        if e == 1:
-            digit = 0
-        elif e == omega:
-            digit = 1
-        else:
-            digit = 2
-        m += digit * basepow
-        basepow *= 3
-    assert m % 3 == 0  # err is a cube in the Sylow subgroup since z is one
-    x = x * inv_mod(pow(b, m // 3, p), p) % p
-    assert pow(x, 3, p) == z
-    return sorted([x, x * omega % p, x * omega * omega % p])
-
-
-def cube_roots(z: PrimeFieldElement) -> list[PrimeFieldElement]:
-    """All y in F_p with y^3 = z.  One root when p = 2 mod 3 or z = 0;
-    zero or three roots when p = 1 mod 3."""
-    return [PrimeFieldElement(r, z.p) for r in _cube_roots_int(z.value, z.p)]
-
-
-def sqrt_mod(z: PrimeFieldElement) -> list[PrimeFieldElement] | None:
-    """{r, -r} with r^2 = z, or None for a non-residue; z = 0 gives {0}."""
-    r = _sqrt_int(z.value, z.p)
-    if r is None:
-        return None
-    if r == 0:
-        return [PrimeFieldElement(0, z.p)]
-    return [PrimeFieldElement(v, z.p) for v in sorted({r, z.p - r})]
+def cube_root_table(p: int) -> dict[int, list[int]]:
+    """{z: all y in F_p with y^3 = z, ascending} for every cube z mod p."""
+    roots: dict[int, list[int]] = {}
+    for y in range(p):
+        roots.setdefault(pow(y, 3, p), []).append(y)
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -370,48 +294,6 @@ def rational_roots(f: IntPolynomial) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense matrix of Rationals, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count must equal rows*cols")
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
-
-    @classmethod
-    def from_rows(cls, rows: list[list]) -> "RationalMatrix":
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        return cls(r, c, tuple(Fraction(v) for row in rows for v in row))
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-
-def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            att = ai[t]
-            if att:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += att * bt[j]
-    return out
-
-
 def det_bareiss(rows: list[list[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination."""
     m = [list(r) for r in rows]
@@ -436,35 +318,3 @@ def det_bareiss(rows: list[list[int]]) -> int:
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
 
-
-def det_rational(rows: list[list]) -> Fraction:
-    """Exact determinant over Q: scale each row integral, then Bareiss."""
-    scale = Fraction(1)
-    int_rows = []
-    for row in rows:
-        frs = [Fraction(v) for v in row]
-        den = math.lcm(*[f.denominator for f in frs]) if frs else 1
-        scale /= den
-        int_rows.append([int(f * den) for f in frs])
-    return scale * det_bareiss(int_rows)
-
-
-def char_poly(M: RationalMatrix) -> tuple[Fraction, ...]:
-    """Characteristic polynomial det(T*I - M), exact, by Faddeev-LeVerrier.
-
-    Returned as coefficients lowest degree first; monic of degree n.
-    """
-    if M.rows != M.cols:
-        raise ValueError("matrix must be square")
-    n = M.rows
-    a = M.to_rows()
-    coeffs = [Fraction(0)] * n + [Fraction(1)]  # c_n = 1
-    N = [row[:] for row in a]
-    for k in range(1, n + 1):
-        c = -sum(N[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-        if k < n:
-            for i in range(n):
-                N[i][i] += c
-            N = mat_mul(a, N)
-    return tuple(coeffs)

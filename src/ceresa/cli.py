@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .arith import inv_mod
+from .arith import inv_mod, is_prime, rat_str
 from .elliptic import CurvePoint, WeierstrassCurveQ, on_curve
 from .heights import canonical_height, northcott_scan
 from .picard import (
@@ -45,6 +45,8 @@ from .ffcert import (
     FactorizationFailure,
     InvalidHint,
     NoCertificateFound,
+    certificate_fields,
+    certificate_text,
     certify_infinite,
     count_curve,
     frobenius_det,
@@ -62,11 +64,6 @@ def _parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise UsageError(f"not an exact rational: {text!r} (use m or m/n)")
     return Fraction(text)
-
-
-def _rat_str(r) -> str:
-    r = Fraction(r)
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 
 def canonical_json(obj) -> str:
@@ -99,10 +96,10 @@ def _cmd_decide(params: dict) -> dict:
     curve = PicardCurve(Fraction(ca), Fraction(cb))
     inv = invariants(curve)
     out = {
-        "a": _rat_str(curve.a),
-        "b": _rat_str(curve.b),
-        "delta": _rat_str(inv.delta),
-        "j": _rat_str(inv.j),
+        "a": rat_str(curve.a),
+        "b": rat_str(curve.b),
+        "delta": rat_str(inv.delta),
+        "j": rat_str(inv.j),
     }
     out.update(_verdict_fields(decide_ceresa(curve)))
     return out
@@ -114,38 +111,14 @@ def _cmd_decide_t(params: dict) -> dict:
     curve = PicardCurve(2 * t, Fraction(1))
     inv = invariants(curve)
     out = {
-        "t": _rat_str(t),
-        "a": _rat_str(curve.a),
-        "b": _rat_str(curve.b),
-        "delta": _rat_str(inv.delta),
-        "j": _rat_str(inv.j),
+        "t": rat_str(t),
+        "a": rat_str(curve.a),
+        "b": rat_str(curve.b),
+        "delta": rat_str(inv.delta),
+        "j": rat_str(inv.j),
     }
     out.update(_verdict_fields(verdict))
     return out
-
-
-def _cert_to_dict(cert) -> dict:
-    sig = cert.lift.sigma
-    return {
-        "a": _rat_str(cert.a),
-        "b": _rat_str(cert.b),
-        "v": cert.v,
-        "ell": cert.ell,
-        "q": cert.q,
-        "sigma": "O" if sig.inf else f"({sig.x}, {sig.y})",
-        "sigma_order": cert.lift.sigma_order,
-        "lift_set_size": cert.lift.lift_set_size,
-        "det_value": _rat_str(cert.det.det_value),
-        "unit_mod_ell": cert.det.unit_mod_ell,
-        "evidence": cert.evidence,
-    }
-
-
-def _cert_text_from_dict(d: dict) -> str:
-    lines = ["ceresa-infinitude-certificate v1"]
-    for name in ("a", "b", "v", "ell", "q", "sigma", "sigma_order", "det_value"):
-        lines.append(f"{name} = {d[name]}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_certify(params: dict) -> dict:
@@ -155,7 +128,13 @@ def _cmd_certify(params: dict) -> dict:
         v=params.get("v"), ell=params.get("ell"), q=params.get("q"),
         V_max=params["V_max"],
     )
-    return _cert_to_dict(cert)
+    out = certificate_fields(cert)
+    out.update(
+        lift_set_size=cert.lift.lift_set_size,
+        unit_mod_ell=cert.det.unit_mod_ell,
+        evidence=cert.evidence,
+    )
+    return out
 
 
 def _cmd_enumerate(params: dict) -> dict:
@@ -182,9 +161,9 @@ def _cmd_height(params: dict) -> dict:
         raise ValueError("point is not on the curve")
     h = canonical_height(E, P)
     return {
-        "d": _rat_str(d),
-        "x": _rat_str(x),
-        "y": _rat_str(y),
+        "d": rat_str(d),
+        "x": rat_str(x),
+        "y": rat_str(y),
         "value": h.value,
         "error_bound": h.error_bound,
     }
@@ -196,7 +175,7 @@ def _cmd_scan(params: dict) -> dict:
     out_rows = []
     for row in rows:
         r = {
-            "t": _rat_str(row.t),
+            "t": rat_str(row.t),
             "status": row.verdict.status,
             "value": row.height.value,
             "error_bound": row.height.error_bound,
@@ -212,16 +191,21 @@ def _cmd_scan(params: dict) -> dict:
 
 def _rat_mod_p(r: Fraction, p: int) -> int:
     if r.denominator % p == 0:
-        raise ValueError(f"denominator of {_rat_str(r)} is not invertible mod {p}")
+        raise ValueError(f"denominator of {rat_str(r)} is not invertible mod {p}")
     return r.numerator * inv_mod(r.denominator % p, p) % p
+
+
+def _count_coefficients(params: dict) -> tuple[int, int]:
+    """(a mod p, b mod p) for `count`, once p is known to be prime."""
+    p = params["p"]
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    return _rat_mod_p(params["a"], p), _rat_mod_p(params["b"], p)
 
 
 def _cmd_count(params: dict) -> dict:
     p, i = params["p"], params["i"]
-    if p < 2:
-        raise ValueError("p must be prime")
-    a = _rat_mod_p(params["a"], p)
-    b = _rat_mod_p(params["b"], p)
+    a, b = _count_coefficients(params)
     rec = count_curve(a, b, p, i)
     return {"a": a, "b": b, "p": p, "i": i, "curve_count": rec.curve_count}
 
@@ -241,7 +225,7 @@ def _cmd_frobdet(params: dict) -> dict:
     return {
         "q": rec.q,
         "ell": rec.ell,
-        "det_value": _rat_str(rec.det_value),
+        "det_value": rat_str(rec.det_value),
         "det_untwisted": str(rec.det_untwisted),
         "unit_mod_ell": rec.unit_mod_ell,
     }
@@ -267,15 +251,14 @@ def _cache_key(config: CliConfig) -> str:
     params = dict(config.parameters)
     if config.command == "count":
         # the computation lives over F_p: key on the reduced coefficients
-        params["a"] = _rat_mod_p(params["a"], params["p"])
-        params["b"] = _rat_mod_p(params["b"], params["p"])
+        params["a"], params["b"] = _count_coefficients(params)
     elif "a" in params and "b" in params:
         # isomorphic inputs share entries: replace (a, b) by the canonical model
         ca, cb = canonical_model(params["a"], params["b"])
         params["a"], params["b"] = ca, cb
     for k, val in params.items():
         if isinstance(val, Fraction):
-            params[k] = _rat_str(val)
+            params[k] = rat_str(val)
     return canonical_json(
         {"tool_version": __version__, "command": config.command, "params": params}
     )
@@ -283,14 +266,17 @@ def _cache_key(config: CliConfig) -> str:
 
 def _cache_lookup(cache_dir: str, key: str) -> str | None:
     path = os.path.join(cache_dir, hashlib.sha256(key.encode()).hexdigest() + ".json")
+    # anything but a readable entry of this version and key whose value is a
+    # JSON object is corrupt, and is recomputed
     try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if entry.get("tool_version") != __version__ or entry.get("key") != key:
-        return None
-    return entry["value"]
+        if (entry["tool_version"] == __version__ and entry["key"] == key
+                and isinstance(json.loads(entry["value"]), dict)):
+            return entry["value"]
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    return None
 
 
 def _cache_store(cache_dir: str, key: str, value: str):
@@ -371,7 +357,7 @@ def run(config: CliConfig) -> int:
     result = json.loads(payload)
     if config.command == "certify" and config.out_file:
         with open(config.out_file, "w", encoding="utf-8") as fh:
-            fh.write(_cert_text_from_dict(result))
+            fh.write(certificate_text(result))
     if config.output == "json":
         print(payload)
     else:

@@ -17,6 +17,7 @@ from .arith import (
     Fraction as Rational,
     IntPolynomial,
     factorize,
+    int_root,
     inv_mod,
     is_prime,
     poly_mul,
@@ -24,6 +25,7 @@ from .arith import (
     poly_sub,
     poly_trim,
     primitive_int_poly,
+    rational_root,
     rational_roots,
 )
 
@@ -202,28 +204,6 @@ def order_fp(E: WeierstrassCurveFp, P: CurvePoint) -> int:
 # ---------------------------------------------------------------------------
 # rational torsion for j = 0
 
-def _int_nth_root(n: int, k: int) -> int | None:
-    """Exact k-th root of n >= 0, or None."""
-    if n < 0:
-        raise ValueError
-    r = round(n ** (1.0 / k)) if n > 0 else 0
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**k == n:
-            return c
-    return None
-
-
-def _is_square(n: int) -> bool:
-    return n >= 0 and math.isqrt(n) ** 2 == n
-
-
-def _int_cbrt(n: int) -> int | None:
-    r = _int_nth_root(abs(n), 3)
-    if r is None:
-        return None
-    return r if n >= 0 else -r
-
-
 def sixth_power_free(d: Fraction) -> tuple[int, Fraction]:
     """Write d = d0 * u^6 with d0 a 6th-power-free integer; return (d0, u).
 
@@ -256,10 +236,9 @@ def torsion_j0_Q(d: Fraction) -> TorsionGroupQ:
         structure, gens0 = "Z/6", [(Fraction(2), Fraction(3))]
     elif d0 == -432:
         structure, gens0 = "Z/3", [(Fraction(12), Fraction(36))]
-    elif _is_square(d0):
-        structure, gens0 = "Z/3", [(Fraction(0), Fraction(math.isqrt(d0)))]
-    elif _int_cbrt(d0) is not None:
-        c = _int_cbrt(d0)
+    elif (s := int_root(d0, 2)) is not None:
+        structure, gens0 = "Z/3", [(Fraction(0), Fraction(s))]
+    elif (c := int_root(d0, 3)) is not None:
         structure, gens0 = "Z/2", [(Fraction(-c), Fraction(0))]
     else:
         structure, gens0 = "trivial", []
@@ -379,17 +358,6 @@ def _x_mult_fraction(d: Fraction, n: int):
     return num, den
 
 
-def rational_sqrt(z: Fraction) -> Fraction | None:
-    z = Fraction(z)
-    if z < 0:
-        return None
-    rn = math.isqrt(z.numerator)
-    rd = math.isqrt(z.denominator)
-    if rn * rn == z.numerator and rd * rd == z.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def divide_point(E: WeierstrassCurveQ, n: int, Q: CurvePoint) -> list[CurvePoint]:
     """All rational P on E with nP = Q.
 
@@ -411,7 +379,7 @@ def divide_point(E: WeierstrassCurveQ, n: int, Q: CurvePoint) -> list[CurvePoint
         f = poly_sub(num, poly_scale(den, Fraction(Q.x)))
         candidates = rational_roots(primitive_int_poly(f))
     for x0 in candidates:
-        y0 = rational_sqrt(x0**3 + d)
+        y0 = rational_root(x0**3 + d, 2)
         if y0 is None:
             continue
         for y in {y0, -y0}:

@@ -16,12 +16,13 @@ from functools import lru_cache
 
 from .arith import (
     IntPolynomial,
-    PrimeFieldElement,
     Rational,
+    cube_root_table,
     factorize,
     is_prime,
     det_bareiss,
     primes_up_to,
+    rat_str,
 )
 from .elliptic import (
     CurvePoint,
@@ -135,19 +136,11 @@ class ExtField:
 
 @dataclass(frozen=True)
 class CountRecord:
-    a: PrimeFieldElement
-    b: PrimeFieldElement
+    a: int
+    b: int
     p: int
     i: int
     curve_count: int
-
-
-def _as_fp(val, p: int) -> PrimeFieldElement:
-    if isinstance(val, PrimeFieldElement):
-        if val.p != p:
-            raise ValueError("coefficient lives over a different prime")
-        return val
-    return PrimeFieldElement(int(val), p)
 
 
 def count_curve(a, b, p: int, i: int) -> CountRecord:
@@ -155,10 +148,11 @@ def count_curve(a, b, p: int, i: int) -> CountRecord:
     number of cube roots of x^4 + ax^2 + b (one smooth point at infinity)."""
     if i not in (1, 2, 3):
         raise ValueError("extension degree must be 1, 2, or 3")
-    if not is_prime(p) or p in (2, 3):
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    if p in (2, 3):
         raise BadReduction(f"bad reduction at {p}")
-    a, b = _as_fp(a, p), _as_fp(b, p)
-    av, bv = a.value, b.value
+    av, bv = int(a) % p, int(b) % p
     if (16 * bv * (av * av - 4 * bv)) % p == 0:
         raise BadReduction(f"bad reduction at {p}")
 
@@ -167,14 +161,11 @@ def count_curve(a, b, p: int, i: int) -> CountRecord:
         # cubing is a bijection: exactly one y above every x
         n = size + 1
     elif i == 1:
-        cubes = {}
-        for y in range(p):
-            z = pow(y, 3, p)
-            cubes[z] = cubes.get(z, 0) + 1
+        roots = cube_root_table(p)
         n = 1
         for x in range(p):
             fx = (pow(x, 4, p) + av * x * x + bv) % p
-            n += cubes.get(fx, 0)
+            n += len(roots.get(fx, ()))
     else:
         field = ExtField(p, i)
         cubes = {}
@@ -189,7 +180,7 @@ def count_curve(a, b, p: int, i: int) -> CountRecord:
             n += cubes.get(fx, 0)
 
     assert (n - size - 1) ** 2 <= 36 * size, "Weil bound violated"
-    return CountRecord(a, b, p, i, n)
+    return CountRecord(av, bv, p, i, n)
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +280,8 @@ def lift_sum(a, b, v: int) -> LiftSumResult:
     _check_good(v, delta, "v")
     av, bv = ai % v, bi % v
 
-    # cube roots table: roots[z] = all y in F_v with y^3 = z
-    roots: dict[int, list[int]] = {}
-    for y in range(v):
-        roots.setdefault(pow(y, 3, v), []).append(y)
-
-    ram = tuple(
-        Genus1Point(0, y) for y in sorted(roots.get(bv, []))
-    )
+    roots = cube_root_table(v)
+    ram = tuple(Genus1Point(0, y) for y in roots.get(bv, []))
     lift = set()
     for x in range(1, v):
         fx = (pow(x, 4, v) + av * x * x + bv) % v
@@ -391,13 +376,11 @@ def frobenius_det(a, b, q: int, ell: int) -> FrobeniusDetResult:
     M = _companion(chi)
     C3 = _third_compound(M)
 
-    det6 = det_bareiss([[Fraction(e) for e in row] for row in _shifted(M, q)])
-    det20 = det_bareiss([[Fraction(e) for e in row] for row in _shifted(C3, q * q)])
-    det_value = Fraction(int(det6), q**6) * Fraction(int(det20), q**40)
+    det6 = det_bareiss(_shifted(M, q))
+    det20 = det_bareiss(_shifted(C3, q * q))
+    det_value = Fraction(det6, q**6) * Fraction(det20, q**40)
 
-    u6 = det_bareiss([[Fraction(e) for e in row] for row in _shifted(M, 1)])
-    u20 = det_bareiss([[Fraction(e) for e in row] for row in _shifted(C3, 1)])
-    det_untwisted = int(u6) * int(u20)
+    det_untwisted = det_bareiss(_shifted(M, 1)) * det_bareiss(_shifted(C3, 1))
 
     unit = det_value != 0 and det_value.numerator % ell != 0 and det_value.denominator % ell != 0
     return FrobeniusDetResult(q, ell, det_value, unit, det_untwisted)
@@ -496,28 +479,37 @@ def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
     )
 
 
-def _frac_str(r: Rational) -> str:
-    r = Fraction(r)
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+_CERT_HEADER = "ceresa-infinitude-certificate v1"
+_CERT_FIELDS = ("a", "b", "v", "ell", "q", "sigma", "sigma_order", "det_value")
+
+
+def certificate_fields(cert: InfinitudeCertificate) -> dict:
+    """The certificate's fields in canonical text form: rationals and sigma
+    as strings, the primes and sigma_order as ints."""
+    sig = cert.lift.sigma
+    return {
+        "a": rat_str(cert.a),
+        "b": rat_str(cert.b),
+        "v": cert.v,
+        "ell": cert.ell,
+        "q": cert.q,
+        "sigma": "O" if sig.inf else f"({sig.x}, {sig.y})",
+        "sigma_order": cert.lift.sigma_order,
+        "det_value": rat_str(cert.det.det_value),
+    }
+
+
+def certificate_text(fields: dict) -> str:
+    """The canonical text form from certificate_fields, or from any mapping
+    holding the same values (such as a replayed `certify` result)."""
+    lines = [_CERT_HEADER] + [f"{name} = {fields[name]}" for name in _CERT_FIELDS]
+    return "\n".join(lines) + "\n"
 
 
 def serialize_certificate(cert: InfinitudeCertificate) -> str:
-    sig = cert.lift.sigma
-    sigma_txt = "O" if sig.inf else f"({sig.x}, {sig.y})"
-    return "\n".join([
-        "ceresa-infinitude-certificate v1",
-        f"a = {_frac_str(cert.a)}",
-        f"b = {_frac_str(cert.b)}",
-        f"v = {cert.v}",
-        f"ell = {cert.ell}",
-        f"q = {cert.q}",
-        f"sigma = {sigma_txt}",
-        f"sigma_order = {cert.lift.sigma_order}",
-        f"det_value = {_frac_str(cert.det.det_value)}",
-    ]) + "\n"
+    return certificate_text(certificate_fields(cert))
 
 
-_CERT_FIELDS = ("a", "b", "v", "ell", "q", "sigma", "sigma_order", "det_value")
 _RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _PT_RE = re.compile(r"^\((-?\d+), (-?\d+)\)$")
 
@@ -525,7 +517,7 @@ _PT_RE = re.compile(r"^\((-?\d+), (-?\d+)\)$")
 def parse_certificate(text: str) -> dict:
     """Parse the canonical text form; raises ValueError on malformed input."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "ceresa-infinitude-certificate v1":
+    if not lines or lines[0].strip() != _CERT_HEADER:
         raise ValueError("malformed certificate: missing version line")
     if len(lines) != 1 + len(_CERT_FIELDS):
         raise ValueError("malformed certificate: wrong number of fields")

@@ -14,15 +14,18 @@ from fractions import Fraction
 
 from .arith import (
     IntPolynomial,
+    cube_root_table,
     factorize,
     is_prime,
     poly_add,
     poly_div_exact,
+    poly_eval,
     poly_mul,
     poly_scale,
     poly_sub,
     poly_trim,
     primitive_int_poly,
+    rational_root,
 )
 from .elliptic import (
     CurvePoint,
@@ -88,26 +91,6 @@ def invariants(c: PicardCurve) -> PicardInvariants:
     return PicardInvariants(delta, (4 * c.b - c.a**2) / (4 * c.b))
 
 
-def _rational_kth_root(r: Fraction, k: int) -> Fraction | None:
-    """Positive k-th root of r in Q, if one exists."""
-    if r <= 0:
-        return None
-
-    def iroot(n: int) -> int | None:
-        if n == 0:
-            return 0
-        c = round(n ** (1.0 / k))
-        for t in (c - 1, c, c + 1):
-            if t >= 0 and t**k == n:
-                return t
-        return None
-
-    rn, rd = iroot(r.numerator), iroot(r.denominator)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
 def is_isomorphic(c1: PicardCurve, c2: PicardCurve, mode: str = "over-Q"):
     """Isomorphism test.
 
@@ -122,12 +105,11 @@ def is_isomorphic(c1: PicardCurve, c2: PicardCurve, mode: str = "over-Q"):
     if c1.a == 0:
         if c2.a != 0:
             return None
-        lam = _rational_kth_root(c2.b / c1.b, 12)
-        return lam
+        return rational_root(c2.b / c1.b, 12)
     if c2.a == 0:
         return None
     ratio = c2.a / c1.a
-    lam = _rational_kth_root(ratio, 6)
+    lam = rational_root(ratio, 6)
     if lam is None:
         # a negative ratio can still admit lambda^6 only if positive, so done
         return None
@@ -274,9 +256,6 @@ def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
     torsion; the automorphism x -> wx makes every cube-root choice valid).
     Primes where no root admits a cube root carry no information and are
     skipped.  Returns the two witness primes."""
-    from .arith import PrimeFieldElement, cube_roots
-
-    deriv = [i * c for i, c in enumerate(h.coefficients)][1:]
     found = []
     p = 3
     while len(found) < 2:
@@ -287,22 +266,20 @@ def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
             continue
         if h.coefficients[-1] % p == 0:
             continue
-        roots = [t for t in range(p) if h(t) % p == 0]
+        h_p = [c % p for c in h.coefficients]
+        roots = [t for t in range(p) if poly_eval(h_p, t) % p == 0]
         if not roots:
             continue
         # only simple roots mod p are guaranteed to lift to roots of h, so a
         # prime where h picks up a repeated root is not a valid witness
-        if any(sum(c * pow(t, i, p) for i, c in enumerate(deriv)) % p == 0 for t in roots):
+        dh_p = [i * c % p for i, c in enumerate(h_p)][1:]
+        if any(poly_eval(dh_p, t) % p == 0 for t in roots):
             continue
         E = WeierstrassCurveFp(1, p)
+        cube_roots = cube_root_table(p)
         realized = 0
         for t in roots:
-            z = (t * t - 1) % p
-            if p % 3 == 2:
-                xs = [pow(z, (2 * p - 1) // 3, p)]
-            else:
-                xs = [r.value for r in cube_roots(PrimeFieldElement(z, p))]
-            for x in xs:
+            for x in cube_roots.get((t * t - 1) % p, []):
                 realized += 1
                 got = order_fp(E, CurvePoint(x, t))
                 if got != N:

@@ -1,4 +1,4 @@
-"""Unit tests for exact integer / rational / polynomial / matrix helpers."""
+"""Unit tests for exact integer / rational / polynomial / determinant helpers."""
 
 from fractions import Fraction
 
@@ -7,17 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from ceresa.arith import (
     IntPolynomial,
-    PrimeFieldElement,
-    RationalMatrix,
-    char_poly,
-    cube_roots,
+    cube_root_table,
     det_bareiss,
-    det_rational,
     divisors_from_factorization,
     factorize,
+    int_root,
     inv_mod,
     is_prime,
-    mat_mul,
     poly_add,
     poly_div_exact,
     poly_divmod,
@@ -28,7 +24,6 @@ from ceresa.arith import (
     primes_up_to,
     primitive_int_poly,
     rational_roots,
-    sqrt_mod,
 )
 
 
@@ -80,14 +75,18 @@ def test_divisors_from_factorization():
 
 
 # ---------------------------------------------------------------------------
-# prime fields
+# exact roots and residues mod p
 
-def test_prime_field_element_reduces_and_validates():
-    e = PrimeFieldElement(-1, 7)
-    assert e.value == 6
-    for bad in (1, 4, 6, 9, 2, 3):
-        with pytest.raises(ValueError):
-            PrimeFieldElement(0, bad)
+@given(st.integers(min_value=-10**40, max_value=10**40), st.integers(min_value=1, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_int_root_is_exact(r, k):
+    if r < 0 and k % 2 == 0:
+        assert int_root(r**k, k) == -r
+        assert int_root(-(r**k), k) is None
+    else:
+        assert int_root(r**k, k) == r
+    if abs(r) > 1 and k > 1:
+        assert int_root(r**k + 1, k) is None
 
 
 @given(st.integers(min_value=1, max_value=10006))
@@ -99,22 +98,12 @@ def test_inv_mod(a):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 37])
 def test_cube_roots_complete(p):
+    table = cube_root_table(p)
     for z in range(p):
-        roots = cube_roots(PrimeFieldElement(z, p))
+        roots = table.get(z, [])
         brute = [y for y in range(p) if pow(y, 3, p) == z]
-        assert sorted(r.value for r in roots) == brute
+        assert roots == brute
         assert len(roots) in ((1,) if p % 3 == 2 else (0, 1, 3))
-
-
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 10007])
-def test_sqrt_mod_complete(p):
-    for z in range(min(p, 60)):
-        out = sqrt_mod(PrimeFieldElement(z, p))
-        brute = sorted(y for y in range(p) if y * y % p == z)
-        if out is None:
-            assert brute == []
-        else:
-            assert sorted(r.value for r in out) == brute
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +176,7 @@ def test_rational_roots():
 
 
 # ---------------------------------------------------------------------------
-# determinants and characteristic polynomials
+# determinants
 
 def _naive_det(rows):
     n = len(rows)
@@ -218,49 +207,5 @@ def test_det_bareiss_matches_cofactor_expansion(rows):
 @settings(max_examples=50, deadline=None)
 def test_det_multiplicative(rows):
     A, B = rows[:3], rows[3:]
-    assert det_bareiss(mat_mul(A, B)) == det_bareiss(A) * det_bareiss(B)
-
-
-def test_det_rational():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
-    assert det_rational(rows) == Fraction(1, 14) - Fraction(1, 15)
-
-
-def test_char_poly_diagonal():
-    M = RationalMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    # (T-1)(T-2)(T-3) = T^3 - 6T^2 + 11T - 6
-    assert char_poly(M) == (Fraction(-6), Fraction(11), Fraction(-6), Fraction(1))
-
-
-def test_char_poly_companion_roundtrip():
-    # companion matrix of T^3 + 2T^2 - 5T + 7 has that characteristic polynomial
-    M = RationalMatrix.from_rows([[0, 0, -7], [1, 0, 5], [0, 1, -2]])
-    assert char_poly(M) == (Fraction(7), Fraction(-5), Fraction(2), Fraction(1))
-
-
-def test_cayley_hamilton():
-    rows = [[2, -1, 0], [1, 3, 1], [0, 1, -2]]
-    coeffs = char_poly(RationalMatrix.from_rows(rows))
-    n = len(rows)
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for c in coeffs:
-        for i in range(n):
-            for j in range(n):
-                acc[i][j] += c * power[i][j]
-        power = mat_mul(power, [[Fraction(v) for v in r] for r in rows])
-    assert all(v == 0 for r in acc for v in r)
-
-
-def test_rational_matrix_accessors():
-    M = RationalMatrix.from_rows([[1, 2], [3, 4]])
-    assert M[0, 1] == 2 and M[1, 0] == 3
-    assert M.to_rows() == [[1, 2], [3, 4]]
-    with pytest.raises(ValueError):
-        RationalMatrix(2, 2, (1, 2, 3))
-
-
-def test_mat_mul_identity():
-    A = [[1, 2], [3, 4]]
-    I = [[1, 0], [0, 1]]
-    assert mat_mul(A, I) == A and mat_mul(I, A) == A
+    AB = [[sum(A[i][t] * B[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
+    assert det_bareiss(AB) == det_bareiss(A) * det_bareiss(B)

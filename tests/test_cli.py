@@ -5,6 +5,7 @@ import json
 import os
 
 import pytest
+from sympy import nextprime
 
 from ceresa.cli import canonical_json, main
 
@@ -143,6 +144,11 @@ def test_height(capsys):
     # point not on curve
     code, obj = _run_json(capsys, "height", "--d", "1", "--x", "5", "--y", "5")
     assert code == 2 and "not on the curve" in obj["error"]
+    # (-c, 0) is 2-torsion on y^2 = x^3 + c^3 even when c^3 is far beyond
+    # float precision
+    c = nextprime(10**20) * nextprime(10**21)
+    code, obj = _run_json(capsys, "height", f"--d={c**3}", f"--x={-c}", "--y=0")
+    assert code == 0 and obj["value"] == 0.0
 
 
 def test_scan(capsys):
@@ -158,13 +164,20 @@ def test_scan(capsys):
 # ---------------------------------------------------------------------------
 # count / lpoly / frobdet
 
-def test_count(capsys):
+def test_count(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
     code, obj = _run_json(capsys, "count", "--a", "1", "--b", "1",
                           "--p", "11", "--i", "2")
     assert code == 0
     assert obj["curve_count"] == 176
     code, obj = _run_json(capsys, "count", "--a", "1", "--b", "1", "--p", "3")
     assert code == 2
+    code, obj = _run_json(capsys, "count", "--a", "1", "--b", "1", "--p", "9")
+    assert code == 2 and obj["error"] == "p must be prime"
+    # p is checked before the cache key reduces a and b mod p
+    code, obj = _run_json(capsys, "count", "--a", "1", "--b", "1", "--p", "0",
+                          "--cache-dir", str(tmp_path / "cache"))
+    assert code == 2 and obj["error"] == "p must be prime"
 
 
 def test_lpoly(capsys):
@@ -289,7 +302,14 @@ def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch):
     _, out1, _ = _run(capsys, "decide", "--a", "1", "--b", "1",
                       "--cache-dir", str(cache))
     entry_path = cache / _cache_files(cache)[0]
-    entry_path.write_text("{not json")
-    code, out2, _ = _run(capsys, "decide", "--a", "1", "--b", "1",
-                         "--cache-dir", str(cache))
-    assert code == 0 and out2 == out1
+    good = json.loads(entry_path.read_text())
+    # invalid JSON, valid JSON that is not an entry, and an entry whose value
+    # is not a JSON object
+    for corrupt in ("{not json", "[1,2]", "7",
+                    json.dumps({**good, "value": "[1,2]"}),
+                    json.dumps({**good, "value": 7})):
+        entry_path.write_text(corrupt)
+        code, out2, _ = _run(capsys, "decide", "--a", "1", "--b", "1",
+                             "--cache-dir", str(cache))
+        assert code == 0 and out2 == out1
+        assert json.loads(entry_path.read_text()) == good

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import nextprime
 
-from ceresa.arith import rational_roots
+from ceresa.arith import rational_root, rational_roots
 from ceresa.elliptic import (
     INFINITY,
     CurvePoint,
@@ -25,7 +26,6 @@ from ceresa.elliptic import (
     neg,
     on_curve,
     order_fp,
-    rational_sqrt,
     sixth_power_free,
     torsion_j0_Q,
     torsion_points,
@@ -121,12 +121,18 @@ def test_sixth_power_free():
         sixth_power_free(Fraction(0))
 
 
+# the cube of a product of two distinct primes near 10^20 and 10^21: a cube
+# far beyond the precision of a float cube root
+_BIG_CUBE = (nextprime(10**20) * nextprime(10**21)) ** 3
+
+
 @pytest.mark.parametrize("d,structure", [
     (1, "Z/6"), (64, "Z/6"), (Fraction(1, 64), "Z/6"),
     (4, "Z/3"), (9, "Z/3"), (-432, "Z/3"), (25 * 64, "Z/3"),
     (8, "Z/2"), (27, "Z/2"), (-1, "Z/2"), (-27, "Z/2"),
     (2, "trivial"), (3, "trivial"), (5, "trivial"), (7, "trivial"),
     (-2, "trivial"), (36, "Z/3"), (-3, "trivial"),
+    pytest.param(_BIG_CUBE, "Z/2", id="big-cube-Z/2"),
 ])
 def test_torsion_classification(d, structure):
     tor = torsion_j0_Q(Fraction(d))
@@ -170,7 +176,7 @@ def test_division_poly_small():
 def test_division_poly_roots_are_n_torsion(d, n):
     E = WeierstrassCurveQ(Fraction(d))
     for x0 in rational_roots(division_poly(E, n)):
-        y0 = rational_sqrt(x0**3 + d)
+        y0 = rational_root(x0**3 + d, 2)
         if y0 is None:
             continue  # root corresponds to a point over a quadratic field
         P = CurvePoint(x0, y0)
@@ -224,10 +230,10 @@ def test_divide_point_validates():
 
 
 def test_rational_sqrt():
-    assert rational_sqrt(Fraction(49, 4)) == Fraction(7, 2)
-    assert rational_sqrt(Fraction(0)) == 0
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-4)) is None
+    assert rational_root(Fraction(49, 4), 2) == Fraction(7, 2)
+    assert rational_root(Fraction(0), 2) == 0
+    assert rational_root(Fraction(2), 2) is None
+    assert rational_root(Fraction(-4), 2) is None
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,8 @@ def test_count_rejects_bad_input():
         count_curve(2, 1, 5, 1)  # a^2 = 4b
     with pytest.raises(ValueError):
         count_curve(1, 1, 5, 4)
+    with pytest.raises(ValueError, match="p must be prime"):
+        count_curve(1, 1, 9, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import nextprime
 
 from ceresa.arith import IntPolynomial, is_prime
 from ceresa.elliptic import mul, on_curve
@@ -50,7 +51,8 @@ def test_invariants_known():
 # ---------------------------------------------------------------------------
 # isomorphism
 
-@pytest.mark.parametrize("lam", [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 3)])
+@pytest.mark.parametrize("lam", [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 3),
+                                 Fraction(nextprime(10**30))])
 def test_is_isomorphic_detects_rescaling(lam):
     c1 = PicardCurve(Fraction(1), Fraction(1))
     c2 = PicardCurve(lam**6 * 1, lam**12 * 1)
