@@ -1,9 +1,9 @@
 """Exact scalar arithmetic and exact linear algebra.
 
 Primes and factoring, exact integer and rational k-th roots, the rational
-text form, cube roots mod p, integer polynomials, rational root extraction
-and fraction-free determinants.  Every operation in this module is exact;
-no floating point anywhere.
+text form, cube roots mod p, integer polynomials and their roots mod p,
+rational root extraction and fraction-free determinants.  Every operation
+in this module is exact; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -14,6 +14,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 Rational = Fraction
+
+
+class InvariantViolation(RuntimeError):
+    """A mathematical invariant the computation relies on failed: a bug or
+    corrupted state, never bad input.  Raised explicitly, so the check
+    survives python -O; the CLI maps it to exit code 4."""
 
 # ---------------------------------------------------------------------------
 # primes and factoring
@@ -186,6 +192,45 @@ def poly_div_exact(f: list, g: list) -> list:
     if r:
         raise ValueError("polynomial division is not exact")
     return q
+
+
+def _poly_rem_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
+    """f mod g over F_p, trimmed, for f and g reduced mod p and g != 0."""
+    lead_inv = pow(g[-1], -1, p)
+    f = list(f)
+    while len(f) >= len(g):
+        c = f.pop() * lead_inv % p
+        if c:
+            base = len(f) - len(g) + 1
+            f[base:] = [(a - c * b) % p for a, b in zip(f[base:], g)]
+    return poly_trim(f)
+
+
+def roots_mod_p(f: list[int], p: int) -> list[int]:
+    """All t in F_p with f(t) = 0 mod p, ascending, for a prime p.
+
+    They are the roots of g = gcd(f, t^p - t) over F_p, so a prime where f
+    has no root costs O(deg(f)^2 log p) and never scans F_p; only the small
+    g is evaluated at every t.  The zero polynomial mod p vanishes
+    everywhere."""
+    h = poly_trim([c % p for c in f])
+    if not h:
+        return list(range(p))
+    if len(h) == 1:
+        return []
+    lead_inv = pow(h[-1], -1, p)
+    h = [c * lead_inv % p for c in h]
+    r = [1]  # t^e mod h for e the bits of p read so far
+    for bit in bin(p)[2:]:
+        r = _poly_rem_mod_p([c % p for c in poly_mul(r, r)], h, p)
+        if bit == "1":
+            r = _poly_rem_mod_p([0] + r, h, p)
+    g, r = h, poly_trim([c % p for c in poly_sub(r, [0, 1])])
+    while r:
+        g, r = r, _poly_rem_mod_p(g, r, p)
+    if len(g) == 1:
+        return []
+    return [t for t in range(p) if poly_eval(g, t) % p == 0]
 
 
 @dataclass(frozen=True)

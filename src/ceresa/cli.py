@@ -10,8 +10,8 @@ because keys use the canonical model.
 
 Exit codes: 0 success; 2 invalid or degenerate input (Delta = 0, bad
 reduction, malformed point); 3 certificate search exhausted; 4 internal
-consistency failure (failed factorization, failed certificate check);
-64 usage error.
+consistency failure (failed factorization, failed certificate check, a
+violated invariant); 64 usage error.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .arith import inv_mod, is_prime, rat_str
+from .arith import InvariantViolation, inv_mod, is_prime, rat_str
 from .elliptic import CurvePoint, WeierstrassCurveQ, on_curve
 from .heights import canonical_height, northcott_scan
 from .picard import (
@@ -331,14 +331,13 @@ def check_certificate(path: str) -> int:
 
 def run(config: CliConfig) -> int:
     """Dispatch a parsed command; prints the result and returns the exit code."""
-    if config.command == "check-cert":
-        return check_certificate(config.parameters["path"])
-
-    impl = _COMMANDS[config.command]
     cache_dir = config.cache_path
     payload: str | None = None
     key = None
     try:
+        if config.command == "check-cert":
+            return check_certificate(config.parameters["path"])
+        impl = _COMMANDS[config.command]
         if cache_dir is not None:
             key = _cache_key(config)
             payload = _cache_lookup(cache_dir, key)
@@ -351,7 +350,7 @@ def run(config: CliConfig) -> int:
         return _fail(config, str(e), 2)
     except NoCertificateFound as e:
         return _fail(config, str(e), 3)
-    except FactorizationFailure as e:
+    except (FactorizationFailure, InvariantViolation) as e:
         return _fail(config, str(e), 4)
 
     result = json.loads(payload)

@@ -269,12 +269,13 @@ def torsion_points(d: Fraction) -> list[CurvePoint]:
 #   E_{2m}   = E_m (E_{m+2} O_{m-1}^2 - E_{m-2} O_{m+1}^2)   (m even)
 #   E_{2m}   = O_m (O_{m+2} E_{m-1}^2 - O_{m-2} E_{m+1}^2)   (m odd)
 
-def _division_tables(d: Fraction, n: int):
-    """Coefficient lists for O_k (k odd) and E_k (k even), k <= n+2."""
-    F = [d, Fraction(0), Fraction(0), Fraction(1)]  # x^3 + d
-    F2_16 = poly_scale(poly_mul(F, F), Fraction(16))
-    O = {1: [Fraction(1)], 3: poly_trim([Fraction(0), 12 * d, Fraction(0), Fraction(0), Fraction(3)])}
-    E = {0: [], 2: [Fraction(1)], 4: poly_trim([-16 * d * d, Fraction(0), Fraction(0), 40 * d, Fraction(0), Fraction(0), Fraction(2)])}
+def _division_tables(d, n: int):
+    """Coefficient lists for O_k (k odd) and E_k (k even), k <= n+2; the
+    coefficients are ints when d is an int."""
+    F = [d, 0, 0, 1]  # x^3 + d
+    F2_16 = poly_scale(poly_mul(F, F), 16)
+    O = {1: [1], 3: poly_trim([0, 12 * d, 0, 0, 3])}
+    E = {0: [], 2: [1], 4: poly_trim([-16 * d * d, 0, 0, 40 * d, 0, 0, 2])}
 
     def get_O(k):
         if k in O:
@@ -338,7 +339,7 @@ def division_poly(E: WeierstrassCurveQ, n: int) -> IntPolynomial:
     if n == 1:
         return IntPolynomial((1,))
     d = Fraction(E.d)
-    O, Ev, F = _division_tables(d, n)
+    O, Ev, F = _division_tables(d.numerator if d.denominator == 1 else d, n)
     coeffs = O[n] if n % 2 else poly_mul(F, Ev[n])
     dens = [c.denominator for c in coeffs]
     scale = math.lcm(*dens)

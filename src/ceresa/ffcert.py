@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .arith import (
     IntPolynomial,
+    InvariantViolation,
     Rational,
     cube_root_table,
     factorize,
@@ -64,7 +65,8 @@ class ExtField:
     of c_0 + c_1 p + ...; elements are little-endian coefficient tuples."""
 
     def __init__(self, p: int, deg: int):
-        assert deg in (2, 3)
+        if deg not in (2, 3):
+            raise InvariantViolation(f"ExtField supports degree 2 or 3, not {deg}")
         self.p = p
         self.deg = deg
         self.size = p**deg
@@ -88,7 +90,7 @@ class ExtField:
             if all((pow(t, deg, p) + sum(c * pow(t, k, p) for k, c in enumerate(cs))) % p
                    for t in range(p)):
                 return tuple(cs)
-        raise AssertionError("no irreducible polynomial found")
+        raise InvariantViolation(f"no irreducible polynomial of degree {deg} over F_{p}")
 
     def _shift_reduce(self, tail: tuple[int, ...]) -> tuple[int, ...]:
         # multiply by x and reduce once
@@ -179,7 +181,8 @@ def count_curve(a, b, p: int, i: int) -> CountRecord:
             fx = field.add(field.mul(x2, field.add(x2, ae)), be)
             n += cubes.get(fx, 0)
 
-    assert (n - size - 1) ** 2 <= 36 * size, "Weil bound violated"
+    if (n - size - 1) ** 2 > 36 * size:
+        raise InvariantViolation(f"Weil bound violated: {n} points over F_{p}^{i}")
     return CountRecord(av, bv, p, i, n)
 
 
@@ -212,10 +215,10 @@ def _lpoly_cached(ai: int, bi: int, p: int) -> LPolyRecord:
     counts = [count_curve(ai % p, bi % p, p, i).curve_count for i in (1, 2, 3)]
     s = [p**i + 1 - counts[i - 1] for i in (1, 2, 3)]
     e1 = s[0]
-    e2, r = divmod(e1 * s[0] - s[1], 2)
-    assert r == 0
-    e3, r = divmod(e2 * s[0] - e1 * s[1] + s[2], 3)
-    assert r == 0
+    e2, r2 = divmod(e1 * s[0] - s[1], 2)
+    e3, r3 = divmod(e2 * s[0] - e1 * s[1] + s[2], 3)
+    if r2 or r3:
+        raise InvariantViolation(f"Newton identities not integral at p={p}")
     L_C = IntPolynomial((1, -e1, e2, -e3, p * e2, -p * p * e1, p**3))
 
     d_e = 16 * (ai * ai - 4 * bi)
@@ -238,9 +241,10 @@ def _lpoly_cached(ai: int, bi: int, p: int) -> LPolyRecord:
         raise FactorizationFailure(f"L_E does not divide L_C at p={p}")
     L_P = IntPolynomial(tuple(q))
 
-    assert L_C(1) > 0 and L_E(1) > 0 and L_P(1) > 0
-    for k in range(4):
-        assert L_C.coefficients[6 - k] == p ** (3 - k) * L_C.coefficients[k]
+    if not (L_C(1) > 0 and L_E(1) > 0 and L_P(1) > 0):
+        raise InvariantViolation(f"L-polynomial without points at p={p}")
+    if any(L_C.coefficients[6 - k] != p ** (3 - k) * L_C.coefficients[k] for k in range(4)):
+        raise InvariantViolation(f"L_C fails the functional equation at p={p}")
     return LPolyRecord(p, L_C, L_E, L_P)
 
 
@@ -299,8 +303,8 @@ def lift_sum(a, b, v: int) -> LiftSumResult:
         total = add(Ew, total, w)
 
     sigma = weierstrass_to_genus1(av, bv, total, v)
-    if not sigma.inf:
-        assert genus1_on_curve(av, bv, sigma, v)
+    if not sigma.inf and not genus1_on_curve(av, bv, sigma, v):
+        raise InvariantViolation(f"lift sum {sigma} is off the genus-1 curve mod {v}")
     return LiftSumResult(v, sigma, order_fp(Ew, total), len(lift), ram)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .arith import factorize
+from .arith import InvariantViolation, factorize
 from .elliptic import CurvePoint, WeierstrassCurveQ, sixth_power_free, torsion_points
 
 _ARCH_TERMS = 40
@@ -56,12 +56,23 @@ def _lam_arch(x0: Fraction, d: int):
     total = _log_plus(x) / 2
     for n in range(_ARCH_TERMS):
         den = 4 * x**3 + 4 * dd
-        assert den != 0  # exact 2-torsion is short-circuited before this
+        if den == 0:  # exact 2-torsion is short-circuited before this
+            raise InvariantViolation("archimedean series reached 2-torsion")
         x2 = (x**4 - 8 * dd * x) / den
         c = (_log_plus(x2) - 4 * _log_plus(x) + mp.log(abs(den))) / 2
         total += c / mp.mpf(4) ** (n + 1)
         x = x2
     return total
+
+
+def _check_even_pole(vx: int):
+    if vx % 2:
+        raise InvariantViolation(f"odd pole order {-vx} on an integral model")
+
+
+def _check_constant_chain(chain: list[int]):
+    if len(set(chain)) != 1:
+        raise InvariantViolation(f"cusp doubling chain {chain} is not constant")
 
 
 def _val(r: Fraction, p: int) -> int | None:
@@ -150,12 +161,12 @@ def _lam_p_chain_mod(x: Fraction, y: Fraction, p: int) -> tuple[Fraction, list[i
         X, Y, Z = X3, Y3, Z3
         vx = vx3 - 2 * vz3
         if vx < 0:
-            assert vx % 2 == 0  # integral model forces even poles
+            _check_even_pole(vx)
             return Fraction(-vx, 2), chain
         # cusp test: v(3x^2) >= 1 and v(2y) >= 1
         if not (v3 + 2 * vx >= 1 and v2 + vy3 - 3 * vz3 >= 1):
             return Fraction(0), chain
-    assert len(set(chain)) == 1
+    _check_constant_chain(chain)
     return Fraction(-chain[-1], 3), []
 
 
@@ -169,7 +180,7 @@ def _lam_p_coeff(x: Fraction, y: Fraction, d: int, p: int) -> Fraction:
     -v_p(psi_2(P)) log p / 3."""
     vx = _val(x, p)
     if vx is not None and vx < 0:
-        assert vx % 2 == 0  # integral model forces even poles
+        _check_even_pole(vx)
         return Fraction(-vx, 2)
     if not _reduces_to_cusp(x, y, p):
         return Fraction(0)
@@ -191,7 +202,8 @@ def _lam_p_chain_exact(x: Fraction, y: Fraction, d: int, p: int) -> tuple[Fracti
     cx, cy = x, y
     for _ in range(8):
         vtwo = _val(2 * cy, p)
-        assert vtwo is not None  # y = 0 is 2-torsion, short-circuited
+        if vtwo is None:  # y = 0 is 2-torsion, short-circuited
+            raise InvariantViolation("doubling chain reached 2-torsion")
         chain.append(vtwo)
         # double (cx, cy) on y^2 = x^3 + d
         lam = 3 * cx * cx / (2 * cy)
@@ -200,12 +212,12 @@ def _lam_p_chain_exact(x: Fraction, y: Fraction, d: int, p: int) -> tuple[Fracti
         cx, cy = nx, ny
         vx = _val(cx, p)
         if vx is not None and vx < 0:
-            assert vx % 2 == 0
+            _check_even_pole(vx)
             return Fraction(-vx, 2), chain
         if not _reduces_to_cusp(cx, cy, p):
             return Fraction(0), chain
     # never escapes the cusp: Z/3 component group, constant correction
-    assert len(set(chain)) == 1
+    _check_constant_chain(chain)
     return Fraction(-chain[-1], 3), []
 
 
@@ -220,12 +232,14 @@ def canonical_height(E: WeierstrassCurveQ, P: CurvePoint) -> HeightValue:
     d0, u = sixth_power_free(Fraction(E.d))
     x = Fraction(P.x) / u**2
     y = Fraction(P.y) / u**3
-    assert y * y == x**3 + d0
+    if y * y != x**3 + d0:
+        raise InvariantViolation(f"({x}, {y}) is not on y^2 = x^3 + {d0}")
     # non-archimedean contributions live at the primes of bad reduction and
     # at the (good) primes where P reduces to O, i.e. those dividing den(x);
     # on an integral model den(x) is an exact square
     root = math.isqrt(x.denominator)
-    assert root * root == x.denominator
+    if root * root != x.denominator:
+        raise InvariantViolation(f"denominator of x = {x} is not a square")
     places = set(factorize(6 * d0)) | set(factorize(root))
     with mp.workprec(80):
         total = _lam_arch(x, d0)
@@ -267,7 +281,8 @@ def northcott_scan(B: int, bound: float = math.inf) -> list[NorthcottRow]:
         verdict = decide_ceresa_t(t)
         assoc = associated_curves(PicardCurve(2 * t, Fraction(1)))
         h = canonical_height(assoc.EDelta, assoc.Q)
-        assert (verdict.status == "torsion") == (h.value == 0.0)
+        if (verdict.status == "torsion") != (h.value == 0.0):
+            raise InvariantViolation(f"t = {t}: verdict {verdict.status} but height {h.value}")
         if h.value <= bound:
             rows.append(NorthcottRow(t, verdict, h))
     return rows

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .arith import (
     IntPolynomial,
+    InvariantViolation,
     cube_root_table,
     factorize,
     is_prime,
@@ -26,6 +27,7 @@ from .arith import (
     poly_trim,
     primitive_int_poly,
     rational_root,
+    roots_mod_p,
 )
 from .elliptic import (
     CurvePoint,
@@ -124,7 +126,8 @@ def associated_curves(c: PicardCurve) -> AssociatedCurves:
     E = WeierstrassCurveQ(16 * disc)
     EDelta = WeierstrassCurveQ(4 * c.b * disc**2)
     Q = CurvePoint(disc, c.a * disc)
-    assert on_curve(EDelta, Q)
+    if not on_curve(EDelta, Q):
+        raise InvariantViolation(f"marked point {Q} is not on y^2 = x^3 + {EDelta.d}")
     return AssociatedCurves(E, EDelta, Q)
 
 
@@ -240,7 +243,7 @@ def _factor_over_q(coeffs: list[int]) -> list[IntPolynomial]:
     from sympy import Poly, Symbol, factor_list
 
     t = Symbol("t")
-    _, factors = factor_list(Poly(list(reversed(coeffs)), t).as_expr())
+    _, factors = factor_list(Poly(list(reversed(coeffs)), t))
     out = []
     for fac, _m in factors:
         p = Poly(fac, t)
@@ -261,18 +264,17 @@ def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
     while len(found) < 2:
         p += 1
         if p > 10_000:
-            raise RuntimeError(f"no certification primes found for order {N}")
+            raise InvariantViolation(f"no certification primes found for order {N}")
         if not is_prime(p) or (6 * N) % p == 0:
             continue
         if h.coefficients[-1] % p == 0:
             continue
-        h_p = [c % p for c in h.coefficients]
-        roots = [t for t in range(p) if poly_eval(h_p, t) % p == 0]
+        roots = roots_mod_p(list(h.coefficients), p)
         if not roots:
             continue
         # only simple roots mod p are guaranteed to lift to roots of h, so a
         # prime where h picks up a repeated root is not a valid witness
-        dh_p = [i * c % p for i, c in enumerate(h_p)][1:]
+        dh_p = [i * c % p for i, c in enumerate(h.coefficients)][1:]
         if any(poly_eval(dh_p, t) % p == 0 for t in roots):
             continue
         E = WeierstrassCurveFp(1, p)
@@ -283,7 +285,7 @@ def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
                 realized += 1
                 got = order_fp(E, CurvePoint(x, t))
                 if got != N:
-                    raise RuntimeError(
+                    raise InvariantViolation(
                         f"torsion locus certification failed: root {t} of "
                         f"{h.to_str('t')} mod {p} gives order {got}, expected {N}"
                     )

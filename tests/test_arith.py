@@ -24,7 +24,9 @@ from ceresa.arith import (
     primes_up_to,
     primitive_int_poly,
     rational_roots,
+    roots_mod_p,
 )
+from modp_oracle import roots_mod_p_brute
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +140,62 @@ def test_poly_divmod_identity(f, g):
 def test_poly_div_exact():
     f = poly_mul([1, 2, 1], [3, 0, 5])  # (1+x)^2 (3+5x^2)
     assert poly_trim(poly_div_exact([Fraction(c) for c in f], [1, 2, 1])) == [3, 0, 5]
+
+
+# ---------------------------------------------------------------------------
+# roots mod p
+
+_primes = st.sampled_from(primes_up_to(200))
+
+
+@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=12), _primes)
+@settings(max_examples=300, deadline=None)
+def test_roots_mod_p_matches_brute_force(f, p):
+    assert roots_mod_p(f, p) == roots_mod_p_brute(f, p)
+
+
+@given(
+    st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=5),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=5, max_size=5),
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
+    st.sampled_from(primes_up_to(23)),
+)
+@settings(max_examples=300, deadline=None)
+def test_roots_mod_p_repeated_roots_and_small_p(roots, mults, cofactor, p):
+    """Prescribed roots with multiplicity up to 3 times a small cofactor,
+    at primes from 2 up, many below the degree."""
+    f = list(cofactor)
+    for r, m in zip(roots, mults):
+        for _ in range(m):
+            f = poly_mul(f, [-r, 1])
+    got = roots_mod_p(f, p)
+    assert got == roots_mod_p_brute(f, p)
+    if any(c % p for c in f):
+        assert {r % p for r in roots} <= set(got)
+
+
+def test_roots_mod_p_edge_cases():
+    assert roots_mod_p([], 5) == [0, 1, 2, 3, 4]
+    assert roots_mod_p([7, 14], 7) == [0, 1, 2, 3, 4, 5, 6]  # zero mod p
+    assert roots_mod_p([3], 5) == []
+    assert roots_mod_p([3, 0, 10], 5) == []  # a nonzero constant mod p
+    assert roots_mod_p([-4, 0, 1], 2) == [0]
+    assert roots_mod_p([0, -1, 0, 1], 3) == [0, 1, 2]  # t^3 - t splits fully
+
+
+@pytest.mark.parametrize("roots", [[5], [2, 3, 3], [10**17, -1, 0, 2**60]])
+def test_roots_mod_p_large_prime_high_degree(roots):
+    """A prime far above the degree, at degree >= 250, with roots that are
+    large integers.  Each (t + i)^2 - a with a a non-residue adds degree
+    but no roots."""
+    p = 300007
+    non_residues = [a for a in range(2, 1000) if pow(a, (p - 1) // 2, p) == p - 1]
+    f = [1]
+    for i, a in enumerate(non_residues[:125]):
+        f = poly_mul(f, [i * i - a, 2 * i, 1])
+    for r in roots:
+        f = poly_mul(f, [-r, 1])
+    assert roots_mod_p(f, p) == sorted({r % p for r in roots})
 
 
 # ---------------------------------------------------------------------------

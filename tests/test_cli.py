@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface: JSON contract, exit
 codes, table output, certificate files, and the result cache."""
 
+import ast
 import json
 import os
+from pathlib import Path
 
 import pytest
 from sympy import nextprime
 
+import ceresa
+from ceresa import picard
 from ceresa.cli import canonical_json, main
 
 
@@ -131,6 +135,28 @@ def test_enumerate_torsion(capsys):
     assert by_order[2] == ["t"]
     assert by_order[3] == ["t^2 + 3"]
     assert by_order[4] == ["t^4 + 18*t^2 - 27"]
+
+
+def test_enumerate_torsion_invariant_violation_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(picard, "order_fp", lambda E, P: 1)
+    code, obj = _run_json(capsys, "enumerate-torsion", "--N-max", "4")
+    assert code == 4
+    assert obj["error"].startswith("torsion locus certification failed: root 0 of t mod 5")
+
+
+def test_library_has_no_assert():
+    """python -O strips assert statements, so every check in the library
+    raises explicitly, and raises InvariantViolation (exit 4) rather than
+    AssertionError (a traceback)."""
+    for path in sorted(Path(ceresa.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+            or (isinstance(node, ast.Name) and node.id == "AssertionError")
+        ]
+        assert lines == [], f"{path.name}: assert or AssertionError on lines {lines}"
 
 
 def test_height(capsys):

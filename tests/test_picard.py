@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import nextprime
 
-from ceresa.arith import IntPolynomial, is_prime
+from ceresa.arith import IntPolynomial, is_prime, primes_up_to, roots_mod_p
 from ceresa.elliptic import mul, on_curve
 from ceresa.picard import (
     DegenerateCurve,
@@ -22,6 +22,7 @@ from ceresa.picard import (
     invariants,
     is_isomorphic,
 )
+from modp_oracle import roots_mod_p_brute
 
 _rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6
@@ -247,6 +248,40 @@ def test_locus_certifier_returns_two_good_primes():
         assert is_prime(p) and 36 % p != 0
     picks3 = _certify_locus_factor(IntPolynomial((3, 0, 1)), 3)
     assert len(picks3) == 2
+
+
+def test_locus_roots_mod_p_match_brute_force():
+    for e in enumerate_torsion_locus(10):
+        for h in e.t_minimal_polynomials:
+            coeffs = list(h.coefficients)
+            for p in primes_up_to(400):
+                if coeffs[-1] % p:
+                    assert roots_mod_p(coeffs, p) == roots_mod_p_brute(coeffs, p), (h, p)
+
+
+# the witness primes of every locus factor, in entry order, as (degree,
+# witnesses); frozen from the evaluate-at-every-t root search
+_LOCUS_WITNESSES = {
+    2: [(1, (5, 7))],
+    3: [(2, (31, 43))],
+    4: [(4, (11, 23))],
+    5: [(8, (29, 59))],
+    6: [(1, (5, 7)), (1, (5, 7)), (6, (31, 43))],
+    7: [(4, (67, 73)), (12, (41, 83))],
+    8: [(16, (23, 47))],
+    9: [(3, (17, 53)), (3, (17, 53)), (18, (307, 919))],
+    10: [(24, (29, 59))],
+    11: [(40, (131, 197))],
+    12: [(4, (11, 23)), (4, (11, 23)), (24, (157, 397))],
+}
+
+
+def test_locus_witness_primes_frozen():
+    got = {
+        e.order: [(h.degree, _certify_locus_factor(h, e.order)) for h in e.t_minimal_polynomials]
+        for e in enumerate_torsion_locus(12)
+    }
+    assert got == _LOCUS_WITNESSES
 
 
 def test_locus_certifier_rejects_wrong_order():
