@@ -38,7 +38,6 @@ from .picard import (
 from .ffcert import (
     BadReduction,
     CountRecord,
-    FactorizationFailure,
     FrobeniusDetResult,
     InfinitudeCertificate,
     InvalidHint,

@@ -9,9 +9,9 @@ CERESA_CACHE_DIR or --cache-dir; isomorphic inputs share cache entries
 because keys use the canonical model.
 
 Exit codes: 0 success; 2 invalid or degenerate input (Delta = 0, bad
-reduction, malformed point); 3 certificate search exhausted; 4 internal
-consistency failure (failed factorization, failed certificate check, a
-violated invariant); 64 usage error.
+reduction, malformed point, a prime above ffcert.PRIME_LIMIT); 3
+certificate search exhausted; 4 internal consistency failure (failed
+certificate check, a violated invariant); 64 usage error.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .picard import (
 from . import ffcert
 from .ffcert import (
     BadReduction,
-    FactorizationFailure,
     InvalidHint,
     NoCertificateFound,
     certificate_fields,
@@ -350,7 +349,7 @@ def run(config: CliConfig) -> int:
         return _fail(config, str(e), 2)
     except NoCertificateFound as e:
         return _fail(config, str(e), 3)
-    except (FactorizationFailure, InvariantViolation) as e:
+    except InvariantViolation as e:
         return _fail(config, str(e), 4)
 
     result = json.loads(payload)

@@ -226,24 +226,28 @@ def sixth_power_free(d: Fraction) -> tuple[int, Fraction]:
 def torsion_j0_Q(d: Fraction) -> TorsionGroupQ:
     """The full rational torsion subgroup of y^2 = x^3 + d.
 
-    After 6th-power normalization to an integer d0, the group is:
-    Z/6 iff d0 = 1; Z/3 iff d0 is a square or d0 = -432; Z/2 iff d0 is a
-    cube; trivial otherwise.  Generators are returned on the *given* curve.
-    """
+    With d0 the 6th-power-free part of d, the group is: Z/6 iff d0 = 1;
+    Z/3 iff d0 is a square or d0 = -432; Z/2 iff d0 is a cube; trivial
+    otherwise.  Each condition on d0 holds exactly when it holds on the
+    integer d1 = d * den^6 (d1 = 1, -432 up to a 6th power), so exact roots
+    decide it without factoring d.  Generators are returned on the *given*
+    curve, from the d1-model by (x, y) -> (x/den^2, y/den^3)."""
     d = Fraction(d)
-    d0, u = sixth_power_free(d)
-    if d0 == 1:
-        structure, gens0 = "Z/6", [(Fraction(2), Fraction(3))]
-    elif d0 == -432:
-        structure, gens0 = "Z/3", [(Fraction(12), Fraction(36))]
-    elif (s := int_root(d0, 2)) is not None:
-        structure, gens0 = "Z/3", [(Fraction(0), Fraction(s))]
-    elif (c := int_root(d0, 3)) is not None:
-        structure, gens0 = "Z/2", [(Fraction(-c), Fraction(0))]
+    if d == 0:
+        raise ValueError("d must be nonzero")
+    den = d.denominator
+    d1 = d.numerator * den**5
+    if (m := int_root(d1, 6)) is not None:
+        structure, gens1 = "Z/6", [(2 * m * m, 3 * m**3)]
+    elif d1 % 432 == 0 and (m := int_root(-d1 // 432, 6)) is not None:
+        structure, gens1 = "Z/3", [(12 * m * m, 36 * m**3)]
+    elif (s := int_root(d1, 2)) is not None:
+        structure, gens1 = "Z/3", [(0, s)]
+    elif (c := int_root(d1, 3)) is not None:
+        structure, gens1 = "Z/2", [(-c, 0)]
     else:
-        structure, gens0 = "trivial", []
-    # map generators from the d0-model back: (x, y) -> (x*u^2, y*u^3)
-    gens = tuple(CurvePoint(x * u**2, y * u**3) for x, y in gens0)
+        structure, gens1 = "trivial", []
+    gens = tuple(CurvePoint(Fraction(x, den**2), Fraction(y, den**3)) for x, y in gens1)
     return TorsionGroupQ(structure, gens)
 
 
@@ -425,15 +429,3 @@ def weierstrass_to_genus1(a, b, W: CurvePoint, p: int | None = None) -> Genus1Po
     if p is None:
         return Genus1Point((Fraction(W.y) - 4 * Fraction(a)) / 8, Fraction(W.x) / 4)
     return Genus1Point((W.y - 4 * a) * inv_mod(8, p) % p, W.x * inv_mod(4, p) % p)
-
-
-def genus1_add(a, b, P: Genus1Point, Q: Genus1Point, p: int | None = None) -> Genus1Point:
-    """Group law on the genus-1 model, defined by transport of structure
-    through the Weierstrass transform (identity = image of infinity)."""
-    dw = genus1_weierstrass_d(a, b)
-    if p is None:
-        E = WeierstrassCurveQ(Fraction(dw))
-    else:
-        E = WeierstrassCurveFp(dw % p, p)
-    W = add(E, genus1_to_weierstrass(a, b, P, p), genus1_to_weierstrass(a, b, Q, p))
-    return weierstrass_to_genus1(a, b, W, p)

@@ -1,10 +1,11 @@
 """Finite-field certification of infinite-order Ceresa cycles.
 
 Point counts of y^3 = x^4 + ax^2 + b over F_{p^i} (i <= 3), L-polynomials
-with their exact genus-1/Prym factorization, the lift-set sum sigma on the
-genus-1 quotient whose pushforward is 2D, the exact Frobenius determinant
-det(Fr_q - 1) on V = H^3(J)(2) + H^1(C)(1), and assembly, search, and
-independent re-validation of infinite-order certificates.
+in O(p^2) from the splitting Jac(C) ~ E x P into the genus-1 quotient and
+the Prym surface, the lift-set sum sigma on the genus-1 quotient whose
+pushforward is 2D, the exact Frobenius determinant det(Fr_q - 1) on
+V = H^3(J)(2) + H^1(C)(1), and assembly, search, and independent
+re-validation of infinite-order certificates.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .arith import (
     factorize,
     is_prime,
     det_bareiss,
+    poly_mul,
     primes_up_to,
     rat_str,
 )
@@ -31,6 +33,7 @@ from .elliptic import (
     WeierstrassCurveFp,
     add,
     genus1_on_curve,
+    genus1_weierstrass_d,
     genus1_to_weierstrass,
     group_order_fp,
     order_fp,
@@ -43,11 +46,6 @@ class BadReduction(Exception):
     """The prime divides 6 or the discriminant of the canonical model."""
 
 
-class FactorizationFailure(Exception):
-    """L_E does not divide L_C exactly — an implementation bug, since the
-    Jacobian is isogenous to P x E."""
-
-
 class NoCertificateFound(Exception):
     """Search exhausted without a witness.  Not a proof of torsion."""
 
@@ -56,81 +54,14 @@ class InvalidHint(Exception):
     """A user-supplied (v, ell, q) hint fails a named check."""
 
 
-# ---------------------------------------------------------------------------
-# extension fields F_{p^2}, F_{p^3}
+# The largest prime accepted for p, v and q (and for the search bound
+# V_max): lpoly at this size takes about 2 s, and lpoly is O(p^2).
+PRIME_LIMIT = 1500
 
-class ExtField:
-    """F_{p^deg} as F_p[x]/(m) with m the monic irreducible of degree deg
-    whose non-leading coefficients (c_0, c_1, ...) have the smallest value
-    of c_0 + c_1 p + ...; elements are little-endian coefficient tuples."""
 
-    def __init__(self, p: int, deg: int):
-        if deg not in (2, 3):
-            raise InvariantViolation(f"ExtField supports degree 2 or 3, not {deg}")
-        self.p = p
-        self.deg = deg
-        self.size = p**deg
-        self.modulus = self._smallest_irreducible()
-        # x^deg, ..., x^(2 deg - 2) reduced, for schoolbook reduction
-        tails = [tuple(-c % p for c in self.modulus)]
-        for _ in range(deg - 2):
-            tails.append(self._shift_reduce(tails[-1]))
-        self.tails = tails
-
-    def _smallest_irreducible(self) -> tuple[int, ...]:
-        p, deg = self.p, self.deg
-        for enc in range(p**deg):
-            cs = []
-            e = enc
-            for _ in range(deg):
-                e, c = divmod(e, p)
-                cs.append(c)
-            # m(t) = t^deg + cs[deg-1] t^(deg-1) + ... + cs[0]; degree <= 3
-            # is irreducible over F_p iff it has no root
-            if all((pow(t, deg, p) + sum(c * pow(t, k, p) for k, c in enumerate(cs))) % p
-                   for t in range(p)):
-                return tuple(cs)
-        raise InvariantViolation(f"no irreducible polynomial of degree {deg} over F_{p}")
-
-    def _shift_reduce(self, tail: tuple[int, ...]) -> tuple[int, ...]:
-        # multiply by x and reduce once
-        p, deg = self.p, self.deg
-        lifted = (0,) + tail
-        head = lifted[deg]
-        base = tuple(-c % p for c in self.modulus)
-        return tuple((lifted[k] + head * base[k]) % p for k in range(deg))
-
-    def embed(self, n: int) -> tuple[int, ...]:
-        return (n % self.p,) + (0,) * (self.deg - 1)
-
-    def add(self, u, v):
-        return tuple((a + b) % self.p for a, b in zip(u, v))
-
-    def mul(self, u, v):
-        p, deg = self.p, self.deg
-        conv = [0] * (2 * deg - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    conv[i + j] += a * b
-        out = conv[:deg]
-        for k in range(deg, 2 * deg - 1):
-            c = conv[k]
-            if c:
-                tail = self.tails[k - deg]
-                for t in range(deg):
-                    out[t] += c * tail[t]
-        return tuple(c % p for c in out)
-
-    def elements(self):
-        p, deg = self.p, self.deg
-        for enc in range(self.size):
-            e = enc
-            cs = []
-            for _ in range(deg):
-                cs.append(e % p)
-                e //= p
-            yield tuple(cs)
+def _check_size(p: int, what: str):
+    if p > PRIME_LIMIT:
+        raise ValueError(f"{what} = {p} exceeds the prime limit {PRIME_LIMIT}")
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +76,49 @@ class CountRecord:
     curve_count: int
 
 
+def _count_fp2(av: int, bv: int, p: int) -> int:
+    """#C(F_{p^2}) in O(p^2).  F_{p^2} = F_p(s) with s^2 = n, the smallest
+    non-residue; u + v s is stored as the int u + v p.  One table holds the
+    number of cube roots of every element, filled by cubing every element.
+    f(x) = w(w + a) + b depends only on w = x^2, and x, -x give the same w,
+    so the rows v = 1 .. (p-1)/2 of x = u + v s stand for their negatives."""
+    n = 2
+    while pow(n, (p - 1) // 2, p) == 1:
+        n += 1
+    us = range(p)
+    sq = [u * u % p for u in us]
+    cu = [u * s % p for u, s in zip(us, sq)]
+    # (u + v s)^3 = (u^3 + 3 n v^2 u) + (3 v u^2 + n v^3) s
+    cubes = bytearray(p * p)
+    for v in us:
+        k, v3, nv3 = 3 * n * v * v % p, 3 * v, n * v * v * v % p
+        for z in [(c + k * u) % p + (v3 * s + nv3) % p * p for u, s, c in zip(us, sq, cu)]:
+            cubes[z] += 1
+    # x^2 = (u^2 + n v^2) + 2 u v s = w0 + w1 s, and
+    # f = (w0 (w0 + a) + n w1^2 + b) + w1 (2 w0 + a) s
+    total = 1
+    for v in range((p + 1) // 2):
+        k, tv = n * v * v, 2 * v
+        row = sum([cubes[(w0 * (w0 + av) + n * w1 * w1 + bv) % p + w1 * (2 * w0 + av) % p * p]
+                   for w0, w1 in zip([s + k for s in sq], [tv * u for u in us])])
+        total += 2 * row if v else row
+    return total
+
+
 def count_curve(a, b, p: int, i: int) -> CountRecord:
     """#C(F_{p^i}) for C: y^3 = x^4 + ax^2 + b, as 1 + sum over x of the
-    number of cube roots of x^4 + ax^2 + b (one smooth point at infinity)."""
+    number of cube roots of x^4 + ax^2 + b (one smooth point at infinity).
+    Over F_{p^3} the count is read off the L-polynomial, whose unknowns the
+    counts over F_p and F_{p^2} fix."""
     if i not in (1, 2, 3):
         raise ValueError("extension degree must be 1, 2, or 3")
     if not is_prime(p):
         raise ValueError("p must be prime")
+    _check_size(p, "p")
     if p in (2, 3):
         raise BadReduction(f"bad reduction at {p}")
     av, bv = int(a) % p, int(b) % p
-    if (16 * bv * (av * av - 4 * bv)) % p == 0:
+    if (bv * genus1_weierstrass_d(av, bv)) % p == 0:
         raise BadReduction(f"bad reduction at {p}")
 
     size = p**i
@@ -168,18 +131,12 @@ def count_curve(a, b, p: int, i: int) -> CountRecord:
         for x in range(p):
             fx = (pow(x, 4, p) + av * x * x + bv) % p
             n += len(roots.get(fx, ()))
+    elif i == 2:
+        n = _count_fp2(av, bv, p)
     else:
-        field = ExtField(p, i)
-        cubes = {}
-        for z in field.elements():
-            c = field.mul(z, field.mul(z, z))
-            cubes[c] = cubes.get(c, 0) + 1
-        ae, be = field.embed(av), field.embed(bv)
-        n = 1
-        for x in field.elements():
-            x2 = field.mul(x, x)
-            fx = field.add(field.mul(x2, field.add(x2, ae)), be)
-            n += cubes.get(fx, 0)
+        cs = _lpoly_cached(av, bv, p).L_C.coefficients
+        e1, e2, e3 = -cs[1], cs[2], -cs[3]
+        n = size + 1 - (e1**3 - 3 * e1 * e2 + 3 * e3)
 
     if (n - size - 1) ** 2 > 36 * size:
         raise InvariantViolation(f"Weil bound violated: {n} points over F_{p}^{i}")
@@ -200,46 +157,35 @@ class LPolyRecord:
 def _good_int_model(a, b) -> tuple[int, int, int]:
     """Canonical integral model and its discriminant 16 b (a^2 - 4b)."""
     ai, bi = canonical_model(Fraction(a), Fraction(b))
-    return ai, bi, 16 * bi * (ai * ai - 4 * bi)
+    return ai, bi, bi * genus1_weierstrass_d(ai, bi)
 
 
 def _check_good(p: int, delta: int, what: str = "p"):
     if not is_prime(p):
         raise ValueError(f"{what} must be prime")
+    _check_size(p, what)
     if (6 * delta) % p == 0:
         raise BadReduction(f"bad reduction at {p}")
 
 
 @lru_cache(maxsize=None)
-def _lpoly_cached(ai: int, bi: int, p: int) -> LPolyRecord:
-    counts = [count_curve(ai % p, bi % p, p, i).curve_count for i in (1, 2, 3)]
-    s = [p**i + 1 - counts[i - 1] for i in (1, 2, 3)]
-    e1 = s[0]
-    e2, r2 = divmod(e1 * s[0] - s[1], 2)
-    e3, r3 = divmod(e2 * s[0] - e1 * s[1] + s[2], 3)
-    if r2 or r3:
-        raise InvariantViolation(f"Newton identities not integral at p={p}")
-    L_C = IntPolynomial((1, -e1, e2, -e3, p * e2, -p * p * e1, p**3))
-
-    d_e = 16 * (ai * ai - 4 * bi)
-    ap = p + 1 - group_order_fp(WeierstrassCurveFp(d_e % p, p))
+def _lpoly_cached(av: int, bv: int, p: int) -> LPolyRecord:
+    """L_C = L_E * L_P for the curve with coefficients reduced mod p, so
+    that curves congruent mod p share the entry.  Jac(C) is isogenous to
+    E x P, so L_P = 1 - a1 T + a2 T^2 - p a1 T^3 + p^2 T^4 has two
+    unknowns: the power sums of the Frobenius roots over F_p and F_{p^2}
+    are those of E plus those of P."""
+    c1 = count_curve(av, bv, p, 1).curve_count
+    c2 = count_curve(av, bv, p, 2).curve_count
+    ap = p + 1 - group_order_fp(WeierstrassCurveFp(genus1_weierstrass_d(av, bv) % p, p))
+    a1 = p + 1 - c1 - ap
+    s2P = p * p + 1 - c2 - (ap * ap - 2 * p)
+    a2, r = divmod(a1 * a1 - s2P, 2)
+    if r:
+        raise InvariantViolation(f"Prym coefficient a2 is not integral at p={p}")
     L_E = IntPolynomial((1, -ap, p))
-
-    # exact division L_P = L_C / L_E over Z
-    num = list(L_C.coefficients)
-    den = list(L_E.coefficients)
-    q = [0] * 5
-    work = num[:]
-    for k in range(6, 1, -1):
-        c = work[k]
-        if c % den[2]:
-            raise FactorizationFailure(f"L_E does not divide L_C at p={p}")
-        q[k - 2] = c // den[2]
-        for j in range(3):
-            work[k - 2 + j] -= q[k - 2] * den[j]
-    if any(work[:2]) or any(work[2:]):
-        raise FactorizationFailure(f"L_E does not divide L_C at p={p}")
-    L_P = IntPolynomial(tuple(q))
+    L_P = IntPolynomial((1, -a1, a2, -p * a1, p * p))
+    L_C = IntPolynomial(tuple(poly_mul(L_E.coefficients, L_P.coefficients)))
 
     if not (L_C(1) > 0 and L_E(1) > 0 and L_P(1) > 0):
         raise InvariantViolation(f"L-polynomial without points at p={p}")
@@ -249,12 +195,12 @@ def _lpoly_cached(ai: int, bi: int, p: int) -> LPolyRecord:
 
 
 def lpoly(a, b, p: int) -> LPolyRecord:
-    """L-polynomial of C over F_p from counts over F_p, F_{p^2}, F_{p^3}
-    (Newton identities + genus-3 functional equation), factored exactly as
-    L_E * L_P with L_E from the genus-1 quotient's Weierstrass model."""
+    """L-polynomial of C over F_p in O(p^2), factored as L_E * L_P with L_E
+    from the genus-1 quotient's Weierstrass model and L_P, the Prym factor,
+    from the counts of C over F_p and F_{p^2}."""
     ai, bi, delta = _good_int_model(a, b)
     _check_good(p, delta)
-    return _lpoly_cached(ai, bi, p)
+    return _lpoly_cached(ai % p, bi % p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +238,7 @@ def lift_sum(a, b, v: int) -> LiftSumResult:
         for y in roots.get(fx, []):
             lift.add(((x * x) % v, y))
 
-    d_e = (16 * (av * av - 4 * bv)) % v
+    d_e = genus1_weierstrass_d(av, bv) % v
     Ew = WeierstrassCurveFp(d_e, v)
     total = CurvePoint.infinity()
     for r in ram:
@@ -374,6 +320,7 @@ def frobenius_det(a, b, q: int, ell: int) -> FrobeniusDetResult:
         raise ValueError("ell must exceed 3")
     if ell == q:
         raise ValueError("ell must differ from q")
+    _check_size(q, "q")
     rec = lpoly(a, b, q)
     # char poly of Frobenius: T^6 L_C(1/T); coefficient of T^k is c_{6-k}
     chi = [rec.L_C.coefficients[6 - k] for k in range(6)]
@@ -427,7 +374,11 @@ def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
     With hints, each is validated and the failing check is named in
     InvalidHint; unhinted slots are searched in ascending lexicographic
     (v, ell, q) order up to V_max.  Raises NoCertificateFound when the
-    search is exhausted — which is NOT a proof of torsion."""
+    search is exhausted — which is NOT a proof of torsion.  A v, q or
+    V_max above PRIME_LIMIT raises ValueError naming it."""
+    for value, what in ((v, "v"), (q, "q"), (V_max, "V_max")):
+        if value is not None:
+            _check_size(value, what)
     a, b = Fraction(a), Fraction(b)
     ai, bi, delta = _good_int_model(a, b)
 
@@ -558,6 +509,10 @@ def validate_certificate(text: str) -> tuple[bool, str]:
         c = parse_certificate(text)
     except ValueError as e:
         return False, str(e)
+    # the checks below cost O(v) and O(q^2): bound the primes first
+    for what in ("v", "q"):
+        if c[what] > PRIME_LIMIT:
+            return False, f"{what} exceeds the prime limit"
     try:
         ai, bi, delta = _good_int_model(c["a"], c["b"])
     except DegenerateCurve as e:

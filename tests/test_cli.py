@@ -4,6 +4,7 @@ codes, table output, certificate files, and the result cache."""
 import ast
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from sympy import nextprime
 import ceresa
 from ceresa import picard
 from ceresa.cli import canonical_json, main
+from ceresa.ffcert import PRIME_LIMIT
 
 
 def _run(capsys, *argv):
@@ -118,6 +120,44 @@ def test_certify_invalid_hint_exits_2(capsys):
     assert code == 2 and obj["error"] == "v is not prime"
 
 
+_ABOVE_LIMIT = int(nextprime(PRIME_LIMIT))
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["count", "--a", "1", "--b", "1", "--p", str(_ABOVE_LIMIT)], "p"),
+    (["count", "--a", "1", "--b", "1", "--p", str(_ABOVE_LIMIT), "--i", "3"], "p"),
+    (["count", "--a", "1", "--b", "1", "--p", str(10**9 + 7)], "p"),
+    (["lpoly", "--a", "1", "--b", "1", "--p", str(_ABOVE_LIMIT)], "p"),
+    (["frobdet", "--a", "1", "--b", "1", "--q", str(_ABOVE_LIMIT), "--ell", "7"], "q"),
+    (["certify", "--a", "4", "--b", "1", "--v", str(_ABOVE_LIMIT)], "v"),
+    (["certify", "--a", "4", "--b", "1", "--q", str(_ABOVE_LIMIT)], "q"),
+    (["certify", "--a", "4", "--b", "1", "--V-max", str(PRIME_LIMIT + 1)], "V_max"),
+])
+def test_primes_above_the_limit_exit_2(capsys, argv, name):
+    start = time.monotonic()
+    code, obj = _run_json(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert obj["error"].startswith(f"{name} = ")
+    assert obj["error"].endswith(f"exceeds the prime limit {PRIME_LIMIT}")
+
+
+@pytest.mark.parametrize("old,new,reason", [
+    ("q = 7", f"q = {10**9 + 7}", "q exceeds the prime limit"),
+    ("v = 29", f"v = {10**9 + 7}", "v exceeds the prime limit"),
+])
+def test_check_cert_rejects_large_primes_before_any_work(capsys, tmp_path, old, new, reason):
+    cert_path = tmp_path / "cert.txt"
+    assert _run(capsys, "certify", "--a", "4", "--b", "1",
+                "--out", str(cert_path))[0] == 0
+    cert_path.write_text(cert_path.read_text().replace(old, new))
+    start = time.monotonic()
+    code, obj = _run_json(capsys, "check-cert", str(cert_path))
+    assert time.monotonic() - start < 1.0
+    assert code == 4
+    assert obj == {"ok": False, "reason": reason}
+
+
 def test_certify_exhausted_search_exits_3(capsys):
     code, obj = _run_json(capsys, "certify", "--a", "0", "--b", "1",
                           "--V-max", "50")
@@ -175,6 +215,13 @@ def test_height(capsys):
     c = nextprime(10**20) * nextprime(10**21)
     code, obj = _run_json(capsys, "height", f"--d={c**3}", f"--x={-c}", "--y=0")
     assert code == 0 and obj["value"] == 0.0
+    # ... and when c is the product of two 40-digit primes, which factoring
+    # c^3 would not get through: torsion is decided by exact roots alone
+    c = nextprime(10**39) * nextprime(2 * 10**39)
+    start = time.monotonic()
+    code, obj = _run_json(capsys, "height", f"--d={c**3}", f"--x={-c}", "--y=0")
+    assert time.monotonic() - start < 1.0
+    assert code == 0 and obj["value"] == 0.0 and obj["error_bound"] == 0.0
 
 
 def test_scan(capsys):

@@ -17,7 +17,6 @@ from ceresa.elliptic import (
     add,
     divide_point,
     division_poly,
-    genus1_add,
     genus1_on_curve,
     genus1_to_weierstrass,
     genus1_weierstrass_d,
@@ -31,6 +30,8 @@ from ceresa.elliptic import (
     torsion_points,
     weierstrass_to_genus1,
 )
+
+from genus1_oracle import genus1_add
 
 
 def _random_points_fp(d: int, p: int, rng: random.Random, k: int) -> list[CurvePoint]:
@@ -147,6 +148,37 @@ def test_torsion_classification(d, structure):
         assert mul(E, n, P).inf
     # the generators generate: distinct multiples
     assert len({(P.inf, P.x, P.y) for P in pts}) == n
+
+
+def _torsion_by_factoring(d):
+    """The torsion structure and generators through the factored 6th-power-
+    free part d0 of d, mapped back by the twist d = d0 u^6."""
+    d0, u = sixth_power_free(Fraction(d))
+    if d0 == 1:
+        structure, gens0 = "Z/6", [(2, 3)]
+    elif d0 == -432:
+        structure, gens0 = "Z/3", [(12, 36)]
+    elif rational_root(d0, 2) is not None:
+        structure, gens0 = "Z/3", [(0, rational_root(d0, 2))]
+    elif rational_root(d0, 3) is not None:
+        structure, gens0 = "Z/2", [(-rational_root(d0, 3), 0)]
+    else:
+        structure, gens0 = "trivial", []
+    return structure, tuple(CurvePoint(x * u**2, y * u**3) for x, y in gens0)
+
+
+@given(st.sampled_from([1, -432, 2, 3, -1, -2, 5, 6, 7, 10, -3, 12, 2**5 * 3**4]),
+       st.sampled_from(["none", "square", "cube"]),
+       st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60),
+       st.integers(min_value=1, max_value=30))
+@settings(max_examples=150, deadline=None)
+def test_torsion_matches_factoring_oracle(core, shape, un, ud, k):
+    """The factor-free classification agrees with the factoring route on
+    d = core * k^e * (un/ud)^6, where e = 2 or 3 makes squares and cubes."""
+    e = {"none": 1, "square": 2, "cube": 3}[shape]
+    d = Fraction(core * k**e) * Fraction(un, ud) ** 6
+    tor = torsion_j0_Q(d)
+    assert (tor.structure, tor.generators) == _torsion_by_factoring(d)
 
 
 def test_torsion_points_closed_under_addition():

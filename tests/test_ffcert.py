@@ -5,19 +5,24 @@ Each [frozen] value below was produced by an independent from-scratch
 implementation (naive point loops, direct 6x6/20x20 determinants) and is
 asserted bit-exactly; the library must reproduce it, not the other way
 round.  Several tests also recompute the same quantity along a second
-route inside this file (power sums instead of matrices, a handwritten
-extension field instead of ExtField) so that shared bugs cannot hide.
+route inside this file (power sums instead of matrices, brute-force counts
+over a handwritten extension field instead of the Prym splitting) so that
+shared bugs cannot hide.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from ceresa.elliptic import Genus1Point, genus1_add
+from ceresa import ffcert
+from ceresa.arith import InvariantViolation, primes_up_to
+from ceresa.elliptic import Genus1Point
 from ceresa.ffcert import (
+    PRIME_LIMIT,
     BadReduction,
-    ExtField,
     InvalidHint,
     NoCertificateFound,
     certify_infinite,
@@ -30,12 +35,13 @@ from ceresa.ffcert import (
     validate_certificate,
 )
 
+from genus1_oracle import genus1_add
 from jacobian_oracle import two_d_matches_sigma
 
 
 # ---------------------------------------------------------------------------
-# an independent extension-field implementation (deliberately different
-# representation: irreducible found by randomless brute force over all
+# the O(p^i) oracle: brute-force counts over an independent extension-field
+# implementation (irreducible found by randomless brute force over all
 # monics, Horner evaluation, no precomputed reduction tails)
 
 class _Field:
@@ -87,6 +93,22 @@ class _Field:
             yield tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _field_tables(p, i):
+    """The field, the number of cube roots of each element, and the number
+    of square roots of each square, shared by every curve counted over
+    F_{p^i}."""
+    F = _Field(p, i)
+    cubes, squares = {}, {}
+    for y in F.elements():
+        z = F.mul(y, F.mul(y, y))
+        cubes[z] = cubes.get(z, 0) + 1
+        w = F.mul(y, y)
+        squares[w] = squares.get(w, 0) + 1
+    return F, cubes, squares
+
+
+@lru_cache(maxsize=None)
 def _independent_count(a, b, p, i):
     """#C(F_{p^i}) for y^3 = x^4 + ax^2 + b, recomputed from scratch."""
     if i == 1:
@@ -95,48 +117,74 @@ def _independent_count(a, b, p, i):
             cubes.setdefault(pow(y, 3, p), []).append(y)
         return 1 + sum(len(cubes.get((pow(x, 4, p) + a * x * x + b) % p, []))
                        for x in range(p))
-    F = _Field(p, i)
-    cubes = {}
-    for y in F.elements():
-        z = F.mul(y, F.mul(y, y))
-        cubes[z] = cubes.get(z, 0) + 1
+    F, cubes, squares = _field_tables(p, i)
     ae, be = (a % p,) + (0,) * (i - 1), (b % p,) + (0,) * (i - 1)
     n = 1
-    for x in F.elements():
-        x2 = F.mul(x, x)
+    for x2, roots in squares.items():
         fx = F.add(F.mul(x2, F.add(x2, ae)), be)
-        n += cubes.get(fx, 0)
+        n += roots * cubes.get(fx, 0)
     return n
 
 
-# ---------------------------------------------------------------------------
-# ExtField
-
-@pytest.mark.parametrize("p,deg", [(5, 2), (5, 3), (7, 2), (11, 2), (7, 3)])
-def test_extfield_is_a_field(p, deg):
-    F = ExtField(p, deg)
-    els = list(F.elements())
-    assert len(els) == p**deg
-    one = F.embed(1)
-    zero = F.embed(0)
-    # the nonzero elements form a group of order p^deg - 1 under mul:
-    # Fermat for the extension field, plus a spot check of inverses
-    x = F.embed(2) if p > 2 else els[3]
-    acc = one
-    for _ in range(p**deg - 1):
-        acc = F.mul(acc, x)
-    assert acc == one
-    # distributivity spot checks
-    u, v, w = els[1], els[p], els[p + 2]
-    assert F.mul(u, F.add(v, w)) == F.add(F.mul(u, v), F.mul(u, w))
-    assert F.add(u, zero) == u and F.mul(u, one) == u
+def _independent_L_C(a, b, p):
+    """L_C from the brute-force counts over F_p, F_{p^2}, F_{p^3} by
+    Newton's identities and the genus-3 functional equation."""
+    s1, s2, s3 = (p**i + 1 - _independent_count(a, b, p, i) for i in (1, 2, 3))
+    e1 = s1
+    e2 = Fraction(e1 * s1 - s2, 2)
+    e3 = Fraction(e2 * s1 - e1 * s2 + s3, 3)
+    assert e2.denominator == e3.denominator == 1
+    return (1, -e1, int(e2), -int(e3), p * int(e2), -p * p * e1, p**3)
 
 
-def test_extfield_modulus_is_lex_smallest_irreducible():
-    F = ExtField(5, 2)
-    # t^2 + c0 with c0 = 2 is the first irreducible in the (c0, c1) order:
-    # t^2, t^2+1 factor; t^2+2 has no root mod 5
-    assert F.modulus == (2, 0)
+def _good(a, b, p):
+    return p > 3 and (16 * b * (a * a - 4 * b)) % p != 0
+
+
+# checked at good primes of both residue classes mod 3; (88, 4096) is the
+# canonical model of t = 11/16 on the t-line
+_ORACLE_CURVES = [(1, 1), (6, 1), (3, 5), (88, 4096)]
+
+
+@pytest.mark.parametrize("a,b", _ORACLE_CURVES)
+def test_count_fp2_matches_oracle(a, b):
+    primes = [p for p in primes_up_to(61) if _good(a, b, p)]
+    assert {p % 3 for p in primes} == {1, 2}
+    for p in primes:
+        assert count_curve(a, b, p, 2).curve_count == _independent_count(a, b, p, 2), p
+
+
+@pytest.mark.parametrize("a,b", _ORACLE_CURVES)
+def test_count_fp3_and_lpoly_match_oracle(a, b):
+    primes = [p for p in primes_up_to(31) if _good(a, b, p)]
+    assert {p % 3 for p in primes} == {1, 2}
+    for p in primes:
+        assert count_curve(a, b, p, 3).curve_count == _independent_count(a, b, p, 3), p
+        assert lpoly(a, b, p).L_C.coefficients == _independent_L_C(a, b, p), p
+
+
+@given(st.integers(min_value=-30, max_value=30), st.integers(min_value=-30, max_value=30),
+       st.sampled_from([5, 7, 11, 13, 17, 19, 23]))
+@settings(max_examples=40, deadline=None)
+def test_counts_and_lpoly_match_oracle_hypothesis(a, b, p):
+    assume(_good(a, b, p))
+    for i in (1, 2, 3):
+        assert count_curve(a, b, p, i).curve_count == _independent_count(a, b, p, i)
+    rec = ffcert._lpoly_cached(a % p, b % p, p)
+    assert rec.L_C.coefficients == _independent_L_C(a, b, p)
+
+
+def test_lpoly_odd_prym_coefficient_is_an_invariant_violation(monkeypatch):
+    """A count over F_{p^2} off by one makes 2 a2 odd: the splitting
+    L_C = L_E L_P is then impossible, and lpoly says so."""
+    real = ffcert._count_fp2
+    monkeypatch.setattr(ffcert, "_count_fp2", lambda a, b, p: real(a, b, p) + 1)
+    ffcert._lpoly_cached.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="a2 is not integral"):
+            lpoly(1, 1, 11)
+    finally:
+        ffcert._lpoly_cached.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +350,12 @@ def test_lift_sum_rejects_bad_reduction():
         lift_sum(1, 1, 2)
     with pytest.raises(BadReduction):
         lift_sum(1, 1, 3)
+
+
+def test_lift_sum_rejects_v_above_the_prime_limit():
+    assert 1511 > PRIME_LIMIT  # 1511 is the first prime above it
+    with pytest.raises(ValueError, match=f"^v = 1511 exceeds the prime limit {PRIME_LIMIT}$"):
+        lift_sum(1, 1, 1511)
 
 
 # ---------------------------------------------------------------------------
