@@ -24,22 +24,31 @@ class InvariantViolation(RuntimeError):
 # ---------------------------------------------------------------------------
 # primes and factoring
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Miller-Rabin to the bases 2 .. 41 is exact below psi_13 (Sorenson and
+# Webster); psi_12 = 399165290221 * 798330580441, the bound for bases
+# 2 .. 37, is a strong pseudoprime to all of those.
+PRIMALITY_BOUND = 3317044064679887385961981
 
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24 with these bases)."""
+    """Deterministic Miller-Rabin, exact for n < PRIMALITY_BOUND; a larger
+    n raises ValueError naming the bound."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"{n} is too large to test for primality "
+                         f"(the test is exact below {PRIMALITY_BOUND})")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -9,7 +9,8 @@ CERESA_CACHE_DIR or --cache-dir; isomorphic inputs share cache entries
 because keys use the canonical model.
 
 Exit codes: 0 success; 2 invalid or degenerate input (Delta = 0, bad
-reduction, malformed point, a prime above ffcert.PRIME_LIMIT); 3
+reduction, malformed point, a prime above ffcert.PRIME_LIMIT, an integer
+at or above arith.PRIMALITY_BOUND where a prime is expected); 3
 certificate search exhausted; 4 internal consistency failure (failed
 certificate check, a violated invariant); 64 usage error.
 """
@@ -25,6 +26,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .arith import InvariantViolation, inv_mod, is_prime, rat_str
@@ -379,7 +381,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built on first use and shared by every later main()
+    call: parse_args returns a fresh Namespace each time, and every
+    default is immutable."""
     parser = _Parser(prog="ceresa", description=(
         "Decide torsion of the Ceresa cycle for bielliptic Picard curves "
         "y^3 = x^4 + ax^2 + b, and produce machine-checkable certificates."

@@ -4,8 +4,9 @@ Point counts of y^3 = x^4 + ax^2 + b over F_{p^i} (i <= 3), L-polynomials
 in O(p^2) from the splitting Jac(C) ~ E x P into the genus-1 quotient and
 the Prym surface, the lift-set sum sigma on the genus-1 quotient whose
 pushforward is 2D, the exact Frobenius determinant det(Fr_q - 1) on
-V = H^3(J)(2) + H^1(C)(1), and assembly, search, and independent
-re-validation of infinite-order certificates.
+V = H^3(J)(2) + H^1(C)(1) (from the power sums of the Frobenius roots and
+of their triple products, with no matrices), and assembly, search, and
+independent re-validation of infinite-order certificates.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
+    PRIMALITY_BOUND,
     IntPolynomial,
     InvariantViolation,
     Rational,
     cube_root_table,
     factorize,
     is_prime,
-    det_bareiss,
     poly_mul,
     primes_up_to,
     rat_str,
@@ -266,54 +267,46 @@ class FrobeniusDetResult:
     det_untwisted: int
 
 
-def _companion(chi: list[int]) -> list[list[int]]:
-    """Companion matrix of the monic polynomial T^6 + chi[5] T^5 + ... + chi[0]."""
-    n = len(chi)
-    M = [[0] * n for _ in range(n)]
-    for k in range(1, n):
-        M[k][k - 1] = 1
-    for k in range(n):
-        M[k][n - 1] = -chi[k]
-    return M
+def _exact_div(n, d: int, what: str):
+    quotient, r = divmod(n, d)
+    if r:
+        raise InvariantViolation(f"{what} is not integral")
+    return quotient
 
 
-def _third_compound(M: list[list[int]]) -> list[list[int]]:
-    """The 20x20 matrix of 3x3 minors of a 6x6 matrix, rows and columns
-    indexed by lexicographically ordered triples; its eigenvalues are the
-    triple products of those of M."""
-    from itertools import combinations
+def _elementary_from_power_sums(s: list, n: int) -> list:
+    """e_0 .. e_n of n numbers from their power sums s[1..n], by Newton's
+    identities k e_k = sum_{j=1..k} (-1)^(j-1) e_(k-j) s_j."""
+    e = [1]
+    for k in range(1, n + 1):
+        acc = sum((-1) ** (j - 1) * e[k - j] * s[j] for j in range(1, k + 1))
+        e.append(_exact_div(acc, k, f"Newton step for e_{k}"))
+    return e
 
-    triples = list(combinations(range(6), 3))
-    out = []
-    for rows in triples:
-        line = []
-        for cols in triples:
-            a, b, c = rows
-            x, y, z = cols
-            det3 = (
-                M[a][x] * (M[b][y] * M[c][z] - M[b][z] * M[c][y])
-                - M[a][y] * (M[b][x] * M[c][z] - M[b][z] * M[c][x])
-                + M[a][z] * (M[b][x] * M[c][y] - M[b][y] * M[c][x])
-            )
-            line.append(det3)
-        out.append(line)
+
+def _char_value(e: list, c: int) -> int:
+    """prod (c - x) over the numbers x with elementary symmetric functions
+    e: sum_k (-1)^k e_k c^(n-k)."""
+    out = 0
+    for k, ek in enumerate(e):
+        out = out * c + (-1) ** k * ek
     return out
 
 
-def _shifted(M: list[list[int]], c: int) -> list[list[int]]:
-    return [[M[i][j] - (c if i == j else 0) for j in range(len(M))] for i in range(len(M))]
-
-
 def frobenius_det(a, b, q: int, ell: int) -> FrobeniusDetResult:
-    """det(Fr_q - 1) on V = H^3(J)(2) + H^1(C)(1), computed exactly: with M
-    the companion matrix of the degree-6 Frobenius characteristic polynomial
-    on H^1 (reciprocal of L_C),
+    """det(Fr_q - 1) on V = H^3(J)(2) + H^1(C)(1), computed exactly from the
+    Frobenius characteristic polynomial chi on H^1 (reciprocal of L_C) with
+    no matrices.  The eigenvalues on H^3(J) = wedge^3 H^1 are the 20 triple
+    products of the roots of chi; their power sums are
+    P_m = (s_m^3 - 3 s_m s_2m + 2 s_3m) / 6, where s_k are the power sums
+    of the roots, and Newton's identities turn P_1 .. P_20 into their
+    characteristic polynomial chi_3.  Then
 
-        det_value = det(M/q - 1) * det(L^3 M / q^2 - 1)
+        det_value = chi(q) / q^6 * chi_3(q^2) / q^40
 
-    over the rationals; det_untwisted = det(M - 1) * det(L^3 M - 1) is the
-    same product without the Tate twists.  unit_mod_ell tests that both the
-    numerator and denominator of det_value are coprime to ell."""
+    and det_untwisted = chi(1) * chi_3(1) is the same product without the
+    Tate twists.  unit_mod_ell tests that both the numerator and the
+    denominator of det_value are coprime to ell."""
     if not is_prime(ell):
         raise ValueError("ell must be prime")
     if ell <= 3:
@@ -321,17 +314,22 @@ def frobenius_det(a, b, q: int, ell: int) -> FrobeniusDetResult:
     if ell == q:
         raise ValueError("ell must differ from q")
     _check_size(q, "q")
-    rec = lpoly(a, b, q)
-    # char poly of Frobenius: T^6 L_C(1/T); coefficient of T^k is c_{6-k}
-    chi = [rec.L_C.coefficients[6 - k] for k in range(6)]
-    M = _companion(chi)
-    C3 = _third_compound(M)
+    cs = lpoly(a, b, q).L_C.coefficients
+    e = [(-1) ** k * c for k, c in enumerate(cs)]
+    # power sums s_1 .. s_60 of the six roots (e_k = 0 beyond k = 6)
+    s = [6]
+    for k in range(1, 61):
+        acc = sum((-1) ** (j - 1) * e[j] * s[k - j] for j in range(1, min(k - 1, 6) + 1))
+        s.append(acc + ((-1) ** (k - 1) * k * e[k] if k <= 6 else 0))
+    P = [20] + [_exact_div(s[m] ** 3 - 3 * s[m] * s[2 * m] + 2 * s[3 * m], 6,
+                           f"Newton step for P_{m}") for m in range(1, 21)]
+    e3 = _elementary_from_power_sums(P, 20)
 
-    det6 = det_bareiss(_shifted(M, q))
-    det20 = det_bareiss(_shifted(C3, q * q))
+    det6 = _char_value(e, q)
+    det20 = _char_value(e3, q * q)
     det_value = Fraction(det6, q**6) * Fraction(det20, q**40)
 
-    det_untwisted = det_bareiss(_shifted(M, 1)) * det_bareiss(_shifted(C3, 1))
+    det_untwisted = _char_value(e, 1) * _char_value(e3, 1)
 
     unit = det_value != 0 and det_value.numerator % ell != 0 and det_value.denominator % ell != 0
     return FrobeniusDetResult(q, ell, det_value, unit, det_untwisted)
@@ -525,6 +523,8 @@ def validate_certificate(text: str) -> tuple[bool, str]:
         return False, "bad reduction at v"
     if ell <= 3:
         return False, "ell must exceed 3"
+    if ell >= PRIMALITY_BOUND:
+        return False, "ell exceeds the primality bound"
     if not is_prime(ell):
         return False, "ell is not prime"
     if ell == v:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ceresa.arith import (
+    PRIMALITY_BOUND,
     IntPolynomial,
     cube_root_table,
     det_bareiss,
@@ -43,6 +44,23 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(341)  # base-2 pseudoprime
     assert is_prime(2**61 - 1)  # Mersenne prime
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+
+
+# the smallest strong pseudoprime to the bases 2 .. 37
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_psi_12_and_the_bound():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert is_prime(PSI_12) is False
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert is_prime(PRIMALITY_BOUND - 2) is False
+    # the bound itself is the smallest strong pseudoprime to bases 2 .. 41
+    with pytest.raises(ValueError, match=f"exact below {PRIMALITY_BOUND}"):
+        is_prime(PRIMALITY_BOUND)
+    with pytest.raises(ValueError, match="too large to test for primality"):
+        is_prime(10**30 + 57)
+    assert is_prime(5 * PRIMALITY_BOUND) is False  # trial division is exact
 
 
 def test_primes_up_to():

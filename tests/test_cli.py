@@ -11,7 +11,8 @@ import pytest
 from sympy import nextprime
 
 import ceresa
-from ceresa import picard
+from ceresa import cli, picard
+from ceresa.arith import PRIMALITY_BOUND
 from ceresa.cli import canonical_json, main
 from ceresa.ffcert import PRIME_LIMIT
 
@@ -142,9 +143,26 @@ def test_primes_above_the_limit_exit_2(capsys, argv, name):
     assert obj["error"].endswith(f"exceeds the prime limit {PRIME_LIMIT}")
 
 
+# the smallest strong pseudoprime to the bases 2 .. 37
+_PSI_12 = 318665857834031151167461
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["frobdet", "--a", "1", "--b", "1", "--q", "11", "--ell", str(_PSI_12)], "ell must be prime"),
+    (["certify", "--a", "4", "--b", "1", "--ell", str(_PSI_12)], "ell is not prime"),
+    (["frobdet", "--a", "1", "--b", "1", "--q", "11", "--ell", str(PRIMALITY_BOUND)],
+     f"{PRIMALITY_BOUND} is too large to test for primality"),
+])
+def test_ell_beyond_bases_2_to_37_exits_2(capsys, argv, error):
+    code, obj = _run_json(capsys, *argv)
+    assert code == 2
+    assert obj["error"].startswith(error)
+
+
 @pytest.mark.parametrize("old,new,reason", [
     ("q = 7", f"q = {10**9 + 7}", "q exceeds the prime limit"),
     ("v = 29", f"v = {10**9 + 7}", "v exceeds the prime limit"),
+    ("ell = 5", f"ell = {PRIMALITY_BOUND}", "ell exceeds the primality bound"),
 ])
 def test_check_cert_rejects_large_primes_before_any_work(capsys, tmp_path, old, new, reason):
     cert_path = tmp_path / "cert.txt"
@@ -301,6 +319,48 @@ def test_usage_errors_exit_64(capsys):
 def test_version_exits_0(capsys):
     code, out, _ = _run(capsys, "--version")
     assert code == 0
+
+
+def _files(root):
+    return {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in root.rglob("*") if p.is_file()}
+
+
+def _call_with_effects(capsys, root, argv):
+    """Exit code, stdout, and the files the call created or changed."""
+    before = _files(root)
+    code = main(argv)
+    out = capsys.readouterr().out
+    after = _files(root)
+    return code, out, sorted(str(p) for p, v in after.items() if before.get(p) != v)
+
+
+_DECIDE = ["decide", "--a", "1", "--b", "1"]
+
+
+@pytest.mark.parametrize("first,first_code,second,env_first", [
+    (["certify", "--a", "4", "--b", "1", "--out", "{d}/f"], 0, ["certify", "--a", "4", "--b", "1"], False),
+    (_DECIDE + ["--table"], 0, _DECIDE, False),
+    (["decide", "--a", "1"], 64, _DECIDE, False),
+    (["--version"], 0, _DECIDE, False),
+    (_DECIDE + ["--cache-dir", "{d}/cache"], 0, ["decide", "--a", "1", "--b", "2"], False),
+    (_DECIDE, 0, ["decide", "--a", "1", "--b", "2"], True),
+], ids=["out-file", "table", "usage-error", "version", "cache-dir", "cache-env"])
+def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, monkeypatch,
+                                           first, first_code, second, env_first):
+    """The parser is built once per process; a call after any other call
+    prints and writes exactly what it does on a freshly built parser."""
+    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+    cli._build_parser.cache_clear()  # the first call below builds the parser
+    if env_first:
+        monkeypatch.setenv("CERESA_CACHE_DIR", str(tmp_path / "env-cache"))
+    assert main([arg.format(d=tmp_path) for arg in first]) == first_code
+    capsys.readouterr()
+    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+    reused = _call_with_effects(capsys, tmp_path, second)
+    cli._build_parser.cache_clear()
+    fresh = _call_with_effects(capsys, tmp_path, second)
+    assert reused == fresh
+    assert reused[2] == []
 
 
 # ---------------------------------------------------------------------------

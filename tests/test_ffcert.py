@@ -5,13 +5,14 @@ Each [frozen] value below was produced by an independent from-scratch
 implementation (naive point loops, direct 6x6/20x20 determinants) and is
 asserted bit-exactly; the library must reproduce it, not the other way
 round.  Several tests also recompute the same quantity along a second
-route inside this file (power sums instead of matrices, brute-force counts
-over a handwritten extension field instead of the Prym splitting) so that
-shared bugs cannot hide.
+route (companion matrices and their third compound in matrix_oracle.py
+instead of power sums, brute-force counts over a handwritten extension
+field instead of the Prym splitting) so that shared bugs cannot hide.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ceresa import ffcert
 from ceresa.arith import InvariantViolation, primes_up_to
+from ceresa.cli import main
 from ceresa.elliptic import Genus1Point
 from ceresa.ffcert import (
     PRIME_LIMIT,
@@ -37,6 +39,7 @@ from ceresa.ffcert import (
 
 from genus1_oracle import genus1_add
 from jacobian_oracle import two_d_matches_sigma
+from matrix_oracle import frobenius_det_by_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +425,15 @@ def test_frobdet_frozen():
     assert rec.unit_mod_ell is True
 
 
+def _frobdet_matches_matrices(a, b, q, ells):
+    """frobenius_det against the companion-matrix route, for each ell."""
+    L_C = lpoly(a, b, q).L_C.coefficients
+    for ell in ells:
+        rec = frobenius_det(a, b, q, ell)
+        assert (rec.det_value, rec.det_untwisted, rec.unit_mod_ell) == \
+            frobenius_det_by_matrices(L_C, q, ell)
+
+
 def _power_sum_route(a, b, q, ell):
     """det(Fr_q - 1) data recomputed via eigenvalue power sums only."""
     cs = lpoly(a, b, q).L_C.coefficients  # c_0 .. c_6
@@ -459,11 +471,48 @@ def _power_sum_route(a, b, q, ell):
     (1, 1, 11, 7), (0, 1, 5, 7), (1, 2, 13, 5), (4, 1, 29, 5), (4, 1, 7, 5),
 ])
 def test_frobdet_matches_power_sum_route(a, b, q, ell):
+    """A self-contained power-sum computation in the test, and the matrix
+    oracle, agree with frobenius_det."""
     rec = frobenius_det(a, b, q, ell)
-    dv, du, unit = _power_sum_route(a, b, q, ell)
-    assert rec.det_value == dv
-    assert rec.det_untwisted == du
-    assert rec.unit_mod_ell == unit
+    expected = _power_sum_route(a, b, q, ell)
+    assert (rec.det_value, rec.det_untwisted, rec.unit_mod_ell) == expected
+    assert expected == frobenius_det_by_matrices(lpoly(a, b, q).L_C.coefficients, q, ell)
+
+
+@pytest.mark.parametrize("a,b", _ORACLE_CURVES + [(0, 1), (1, 2), (4, 1)])
+def test_frobdet_matches_matrix_oracle(a, b):
+    """Every good q <= 151, with ell = 5 and 7 (11 in place of q)."""
+    for q in primes_up_to(151):
+        if _good(a, b, q):
+            _frobdet_matches_matrices(a, b, q, [ell if ell != q else 11 for ell in (5, 7)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30),
+       st.sampled_from([p for p in primes_up_to(97) if p > 3]),
+       st.sampled_from([5, 7, 11, 13]))
+def test_frobdet_matches_matrix_oracle_hypothesis(a, b, q, ell):
+    assume(b != 0 and a * a != 4 * b and ell != q)
+    try:
+        lpoly(a, b, q)
+    except BadReduction:
+        assume(False)
+    _frobdet_matches_matrices(a, b, q, [ell])
+
+
+def test_frobdet_non_integral_newton_step_is_an_invariant_violation(monkeypatch, capsys):
+    """Integral L_C coefficients always give integral Newton steps; a
+    corrupted record that does not must stop the computation (exit 4)."""
+    coefficients = (1, Fraction(1, 2), 0, 0, 0, 0, 1331)
+    fake = SimpleNamespace(L_C=SimpleNamespace(coefficients=coefficients))
+    monkeypatch.setattr(ffcert, "_lpoly_cached", lambda av, bv, p: fake)
+    with pytest.raises(InvariantViolation, match="Newton step for P_5 is not integral"):
+        frobenius_det(1, 1, 11, 7)
+    assert main(["frobdet", "--a", "1", "--b", "1", "--q", "11", "--ell", "7"]) == 4
+    assert "Newton step" in capsys.readouterr().out
+    # two numbers with power sums 1, 0 would have e_2 = 1/2
+    with pytest.raises(InvariantViolation, match="Newton step for e_2 is not integral"):
+        ffcert._elementary_from_power_sums([2, 1, 0], 2)
 
 
 def test_frobdet_validates_input():
