@@ -1,14 +1,16 @@
 """Exact scalar arithmetic and exact linear algebra.
 
 Primes and factoring, exact integer and rational k-th roots, the rational
-text form, cube roots mod p, integer polynomials and their roots mod p,
-rational root extraction and fraction-free determinants.  Every operation
-in this module is exact; no floating point anywhere.
+text form and its parser, cube roots mod p, integer polynomials with their
+roots mod p and their factors over Q, rational root extraction and
+fraction-free determinants.  Every operation in this module is exact; no
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -120,6 +122,18 @@ def rat_str(r) -> str:
     """A rational as "m" or "m/n" in lowest terms."""
     r = Fraction(r)
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+
+
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?", re.ASCII)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read the text form of rat_str: "m" or "m/n" in ASCII digits, with
+    an optional sign and n > 0.  Any other text, surrounding whitespace
+    included, raises ValueError."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"not an exact rational: {text!r} (use m or m/n)")
+    return Fraction(text)
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -302,6 +316,18 @@ def primitive_int_poly(f: list) -> IntPolynomial:
     return IntPolynomial(tuple(ints))
 
 
+def factor_over_q(coeffs) -> list[IntPolynomial]:
+    """The distinct irreducible factors over Q of a nonzero integer
+    polynomial (coefficients lowest degree first), each primitive with a
+    positive leading coefficient."""
+    from sympy import Poly, Symbol, factor_list
+
+    t = Symbol("t")
+    _, factors = factor_list(Poly(list(reversed(coeffs)), t))
+    return [primitive_int_poly([int(c) for c in reversed(fac.all_coeffs())])
+            for fac, _m in factors]
+
+
 def rational_roots(f: IntPolynomial) -> list[Fraction]:
     """All rational roots of f (multiplicity ignored), sorted.
 
@@ -327,15 +353,8 @@ def rational_roots(f: IntPolynomial) -> list[Fraction]:
     p_divs = divisors_from_factorization(factorize(a0))
     q_divs = divisors_from_factorization(factorize(an))
     if len(p_divs) * len(q_divs) > 100_000:
-        from sympy import Poly, Symbol, factor_list
-
-        x = Symbol("x")
-        _, factors = factor_list(Poly(list(reversed(coeffs)), x).as_expr())
-        for fac, _mult in factors:
-            pol = Poly(fac, x)
-            if pol.degree() == 1:
-                b, a = pol.all_coeffs()  # b*x + a
-                roots.add(Fraction(-int(a), int(b)))
+        roots.update(Fraction(-h.coefficients[0], h.coefficients[1])
+                     for h in factor_over_q(coeffs) if h.degree == 1)
         return sorted(roots)
     for num in p_divs:
         for den in q_divs:

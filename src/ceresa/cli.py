@@ -10,9 +10,11 @@ because keys use the canonical model.
 
 Exit codes: 0 success; 2 invalid or degenerate input (Delta = 0, bad
 reduction, malformed point, a prime above ffcert.PRIME_LIMIT, an integer
-at or above arith.PRIMALITY_BOUND where a prime is expected); 3
-certificate search exhausted; 4 internal consistency failure (failed
-certificate check, a violated invariant); 64 usage error.
+at or above arith.PRIMALITY_BOUND where a prime is expected, a non-finite
+scan bound) or a file that cannot be read or written (--out, the cache
+directory, a certificate); 3 certificate search exhausted; 4 internal
+consistency failure (failed certificate check, a violated invariant); 64
+usage error.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
-import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .arith import InvariantViolation, inv_mod, is_prime, rat_str
+from .arith import InvariantViolation, inv_mod, is_prime, parse_rational, rat_str
 from .elliptic import CurvePoint, WeierstrassCurveQ, on_curve
 from .heights import canonical_height, northcott_scan
 from .picard import (
@@ -54,21 +56,12 @@ from .ffcert import (
     lpoly,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
-
 class UsageError(Exception):
     pass
 
 
-def _parse_rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text):
-        raise UsageError(f"not an exact rational: {text!r} (use m or m/n)")
-    return Fraction(text)
-
-
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass
@@ -172,6 +165,8 @@ def _cmd_height(params: dict) -> dict:
 
 def _cmd_scan(params: dict) -> dict:
     bound = params.get("bound")
+    if bound is not None and not math.isfinite(bound):
+        raise ValueError("bound must be finite")
     rows = northcott_scan(params["B"], bound if bound is not None else float("inf"))
     out_rows = []
     for row in rows:
@@ -347,17 +342,17 @@ def run(config: CliConfig) -> int:
             payload = canonical_json(result)
             if cache_dir is not None:
                 _cache_store(cache_dir, key, payload)
-    except (DegenerateCurve, BadReduction, InvalidHint, ValueError) as e:
+        result = json.loads(payload)
+        if config.command == "certify" and config.out_file:
+            with open(config.out_file, "w", encoding="utf-8") as fh:
+                fh.write(certificate_text(result))
+    except (DegenerateCurve, BadReduction, InvalidHint, ValueError, OSError) as e:
         return _fail(config, str(e), 2)
     except NoCertificateFound as e:
         return _fail(config, str(e), 3)
     except InvariantViolation as e:
         return _fail(config, str(e), 4)
 
-    result = json.loads(payload)
-    if config.command == "certify" and config.out_file:
-        with open(config.out_file, "w", encoding="utf-8") as fh:
-            fh.write(certificate_text(result))
     if config.output == "json":
         print(payload)
     else:
@@ -457,11 +452,9 @@ def _config_from_args(args) -> CliConfig:
     params: dict = {}
     rationals = {"a", "b", "t", "d", "x", "y"}
     for name, value in vars(args).items():
-        if name in ("command", "table", "cache_dir") or value is None:
+        if name in ("command", "table", "cache_dir", "out") or value is None:
             continue
-        if name == "out":
-            continue
-        params[name] = _parse_rational(value) if name in rationals else value
+        params[name] = parse_rational(value) if name in rationals else value
     cache_dir = os.environ.get("CERESA_CACHE_DIR") or args.cache_dir
     return CliConfig(
         command=args.command,
@@ -477,7 +470,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
-    except UsageError as e:
+    except (UsageError, ValueError) as e:  # ValueError: a malformed rational
         print(f"usage error: {e}", file=sys.stderr)
         return 64
     except SystemExit as e:  # --help / --version

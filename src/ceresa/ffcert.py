@@ -24,6 +24,7 @@ from .arith import (
     cube_root_table,
     factorize,
     is_prime,
+    parse_rational,
     poly_mul,
     primes_up_to,
     rat_str,
@@ -40,7 +41,7 @@ from .elliptic import (
     order_fp,
     weierstrass_to_genus1,
 )
-from .picard import DegenerateCurve, canonical_model
+from .picard import DegenerateCurve, canonical_model, discriminant
 
 
 class BadReduction(Exception):
@@ -113,14 +114,8 @@ def count_curve(a, b, p: int, i: int) -> CountRecord:
     counts over F_p and F_{p^2} fix."""
     if i not in (1, 2, 3):
         raise ValueError("extension degree must be 1, 2, or 3")
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    _check_size(p, "p")
-    if p in (2, 3):
-        raise BadReduction(f"bad reduction at {p}")
+    _check_good(p, discriminant(int(a), int(b)))
     av, bv = int(a) % p, int(b) % p
-    if (bv * genus1_weierstrass_d(av, bv)) % p == 0:
-        raise BadReduction(f"bad reduction at {p}")
 
     size = p**i
     if size % 3 == 2:
@@ -158,7 +153,7 @@ class LPolyRecord:
 def _good_int_model(a, b) -> tuple[int, int, int]:
     """Canonical integral model and its discriminant 16 b (a^2 - 4b)."""
     ai, bi = canonical_model(Fraction(a), Fraction(b))
-    return ai, bi, bi * genus1_weierstrass_d(ai, bi)
+    return ai, bi, discriminant(ai, bi)
 
 
 def _check_good(p: int, delta: int, what: str = "p"):
@@ -463,7 +458,6 @@ def serialize_certificate(cert: InfinitudeCertificate) -> str:
     return certificate_text(certificate_fields(cert))
 
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _PT_RE = re.compile(r"^\((-?\d+), (-?\d+)\)$")
 
 
@@ -481,9 +475,10 @@ def parse_certificate(text: str) -> dict:
             raise ValueError(f"malformed certificate: expected field {name!r}")
         val = m.group(1).strip()
         if name in ("a", "b", "det_value"):
-            if not _RAT_RE.match(val):
-                raise ValueError(f"malformed certificate: bad rational in {name!r}")
-            out[name] = Fraction(val)
+            try:
+                out[name] = parse_rational(val)
+            except ValueError:
+                raise ValueError(f"malformed certificate: bad rational in {name!r}") from None
         elif name == "sigma":
             if val == "O":
                 out[name] = Genus1Point.infinity()

@@ -16,15 +16,13 @@ from .arith import (
     IntPolynomial,
     InvariantViolation,
     cube_root_table,
+    factor_over_q,
     factorize,
     is_prime,
     poly_add,
     poly_div_exact,
     poly_eval,
     poly_mul,
-    poly_scale,
-    poly_sub,
-    poly_trim,
     primitive_int_poly,
     rational_root,
     roots_mod_p,
@@ -34,6 +32,7 @@ from .elliptic import (
     WeierstrassCurveFp,
     WeierstrassCurveQ,
     division_poly,
+    genus1_weierstrass_d,
     mul,
     on_curve,
     order_fp,
@@ -42,6 +41,12 @@ from .elliptic import (
 
 class DegenerateCurve(Exception):
     """The model y^3 = x^4 + ax^2 + b is singular: Delta = 16b(a^2-4b) = 0."""
+
+
+def discriminant(a, b):
+    """Delta = 16b(a^2 - 4b): b times the genus-1 quotient's Weierstrass
+    parameter, for rational or integer (a, b)."""
+    return b * genus1_weierstrass_d(a, b)
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,7 @@ class PicardCurve:
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
-        if 16 * self.b * (self.a**2 - 4 * self.b) == 0:
+        if discriminant(self.a, self.b) == 0:
             raise DegenerateCurve("degenerate: Delta=0")
 
 
@@ -87,7 +92,7 @@ class CeresaVerdict:
 
 def invariants(c: PicardCurve) -> PicardInvariants:
     """Delta = 16b(a^2 - 4b) and j = (4b - a^2)/4b, both exact."""
-    delta = 16 * c.b * (c.a**2 - 4 * c.b)
+    delta = discriminant(c.a, c.b)
     if delta == 0:
         raise DegenerateCurve("degenerate: Delta=0")
     return PicardInvariants(delta, (4 * c.b - c.a**2) / (4 * c.b))
@@ -123,7 +128,7 @@ def is_isomorphic(c1: PicardCurve, c2: PicardCurve, mode: str = "over-Q"):
 def associated_curves(c: PicardCurve) -> AssociatedCurves:
     """E, EDelta, and the marked point Q, with Q on EDelta verified exactly."""
     disc = c.a**2 - 4 * c.b
-    E = WeierstrassCurveQ(16 * disc)
+    E = WeierstrassCurveQ(genus1_weierstrass_d(c.a, c.b))
     EDelta = WeierstrassCurveQ(4 * c.b * disc**2)
     Q = CurvePoint(disc, c.a * disc)
     if not on_curve(EDelta, Q):
@@ -156,11 +161,9 @@ def decide_ceresa(c: PicardCurve) -> CeresaVerdict:
 
 
 def decide_ceresa_t(t: Fraction) -> CeresaVerdict:
-    """The t-line specialization (a, b) = (2t, 1); t = ±1 is degenerate."""
-    t = Fraction(t)
-    if t == 1 or t == -1:
-        raise DegenerateCurve("degenerate: Delta=0")
-    return decide_ceresa(PicardCurve(2 * t, Fraction(1)))
+    """The t-line specialization (a, b) = (2t, 1); t = ±1 is degenerate
+    (Delta = 64(t^2 - 1)), and PicardCurve rejects it."""
+    return decide_ceresa(PicardCurve(2 * Fraction(t), Fraction(1)))
 
 
 def canonical_model(a: Fraction, b: Fraction) -> tuple[int, int]:
@@ -169,7 +172,7 @@ def canonical_model(a: Fraction, b: Fraction) -> tuple[int, int]:
     Isomorphic inputs share a canonical model, which keys caches and
     good-reduction tests."""
     a, b = Fraction(a), Fraction(b)
-    if 16 * b * (a * a - 4 * b) == 0:
+    if discriminant(a, b) == 0:
         raise DegenerateCurve("degenerate: Delta=0")
     lam = math.lcm(a.denominator if a else 1, b.denominator)
     ai = int(a * lam**6)
@@ -207,48 +210,20 @@ def _exact_order_division_polys(n_max: int) -> dict[int, list]:
     return f
 
 
-def _norm_resultant_t(f: list) -> list[int]:
-    """Eliminate x from {f(x) = 0, t^2 = x^3 + 1}: reduce f modulo
-    x^3 - (u - 1) with u = t^2 to A + Bx + Cx^2 over Z[u], take the norm
-    A^3 + (u-1)B^3 + (u-1)^2C^3 - 3(u-1)ABC, and substitute u = t^2.
-    Same roots as the Sylvester resultant in x."""
-    um1 = [Fraction(-1), Fraction(1)]  # u - 1
-    slots = [[], [], []]  # A, B, C in Q[u]
-    power = [Fraction(1)]  # (u-1)^qt
-    last_q = 0
-    for i, coeff in enumerate(f):
-        q, r = divmod(i, 3)
-        while last_q < q:
-            power = poly_mul(power, um1)
-            last_q += 1
-        if coeff:
-            slots[r] = poly_add(slots[r], poly_scale(power, coeff))
-    A, B, C = slots
-    cube = lambda g: poly_mul(g, poly_mul(g, g))
-    norm = poly_add(cube(A), poly_mul(um1, cube(B)))
-    norm = poly_add(norm, poly_mul(poly_mul(um1, um1), cube(C)))
-    norm = poly_sub(norm, poly_scale(poly_mul(um1, poly_mul(A, poly_mul(B, C))), Fraction(3)))
-    norm = poly_trim(norm)
-    # u = t^2
-    out = [Fraction(0)] * (2 * len(norm) - 1 if norm else 0)
-    for i, cf in enumerate(norm):
-        out[2 * i] = cf
-    prim = primitive_int_poly(out)
-    return list(prim.coefficients)
+def _t_locus(f: list) -> IntPolynomial:
+    """The t-locus S(t) = g(t^2 - 1) of an exact-order polynomial
+    f(x) = x^r g(x^3) of y^2 = x^3 + 1, as a primitive integer polynomial.
 
-
-def _factor_over_q(coeffs: list[int]) -> list[IntPolynomial]:
-    """Irreducible factors over Q (each primitive, positive leading
-    coefficient, multiplicity dropped)."""
-    from sympy import Poly, Symbol, factor_list
-
-    t = Symbol("t")
-    _, factors = factor_list(Poly(list(reversed(coeffs)), t))
-    out = []
-    for fac, _m in factors:
-        p = Poly(fac, t)
-        out.append(primitive_int_poly([Fraction(c) for c in reversed([int(v) for v in p.all_coeffs()])]))
-    return out
+    x -> wx is an automorphism, so f has this form, and (x, t) has order N
+    for some x exactly when x^3 = t^2 - 1 is a root of g.  Since
+    g(0) = f[r] != 0, S has no root at the degenerate t = +-1."""
+    r = next(i for i, c in enumerate(f) if c)
+    if any(c for i, c in enumerate(f[r:]) if i % 3):
+        raise InvariantViolation("exact-order polynomial is not of the form x^r g(x^3)")
+    s: list = []
+    for c in reversed(f[r::3]):
+        s = poly_add(poly_mul(s, [-1, 0, 1]), [c])
+    return primitive_int_poly(s)
 
 
 def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
@@ -301,17 +276,9 @@ def enumerate_torsion_locus(N_max: int) -> list[TorsionLocusEntry]:
     if N_max < 2:
         raise ValueError("N_max must be >= 2")
     exact = _exact_order_division_polys(N_max)
-    one = IntPolynomial((-1, 1))
-    minus_one = IntPolynomial((1, 1))
     entries = []
     for n in range(2, N_max + 1):
-        res = _norm_resultant_t(exact[n])
-        polys = []
-        for h in _factor_over_q(res):
-            if h.degree < 1 or h == one or h == minus_one:
-                continue  # constants and the degenerate parameters t = ±1
-            if h not in polys:
-                polys.append(h)
+        polys = factor_over_q(_t_locus(exact[n]).coefficients)
         for h in polys:
             _certify_locus_factor(h, n)
         polys.sort(key=lambda q: (q.degree, q.coefficients))

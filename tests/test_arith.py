@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ceresa import arith
 from ceresa.arith import (
     PRIMALITY_BOUND,
     IntPolynomial,
@@ -23,7 +24,9 @@ from ceresa.arith import (
     poly_sub,
     poly_trim,
     primes_up_to,
+    parse_rational,
     primitive_int_poly,
+    rat_str,
     rational_roots,
     roots_mod_p,
 )
@@ -249,6 +252,47 @@ def test_rational_roots():
     roots = rational_roots(IntPolynomial(tuple(int(c) for c in f)))
     assert roots == [Fraction(-3), Fraction(1, 2)]
     assert rational_roots(IntPolynomial((1, 0, 1))) == []
+
+
+def test_rational_roots_factoring_fallback(monkeypatch):
+    # n = 2^4 3^2 5 7 11 13 17 has 480 divisors, so the candidates n/d and
+    # their inverses number 480 * 480 and the search factors over Q instead
+    n = 12252240
+    calls = []
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return factor_over_q(coeffs)
+
+    factor_over_q = arith.factor_over_q
+    monkeypatch.setattr(arith, "factor_over_q", counting)
+    f = poly_mul(poly_mul([-1, n], [-n, 1]), [1, 0, 1])
+    assert rational_roots(IntPolynomial(tuple(f))) == [Fraction(1, n), Fraction(n)]
+    assert len(calls) == 1
+    # x^2 (n x - 1)(x - n)(x^2 + 1): the root 0 is kept as well
+    got = rational_roots(IntPolynomial((0, 0) + tuple(f)))
+    assert got == [Fraction(0), Fraction(1, n), Fraction(n)]
+
+
+def test_factor_over_q_is_primitive_and_distinct():
+    # 4 (x - 1)^2 (2x + 3)(x^2 + 1)
+    f = poly_mul(poly_mul(poly_mul([-4, 4], [-1, 1]), [3, 2]), [1, 0, 1])
+    got = sorted(arith.factor_over_q(f), key=lambda h: (h.degree, h.coefficients))
+    assert [h.coefficients for h in got] == [(-1, 1), (3, 2), (1, 0, 1)]
+
+
+@pytest.mark.parametrize("r", [Fraction(0), Fraction(7), Fraction(-7),
+                               Fraction(3, 4), Fraction(-10**30, 7)])
+def test_parse_rational_reads_rat_str(r):
+    assert parse_rational(rat_str(r)) == r
+
+
+# rat_str writes ASCII digits only, and no surrounding whitespace
+@pytest.mark.parametrize("text", ["", "1.5", "0.1", "1/0", "1/-2", "1/02", "a", "1 / 2",
+                                  "--1", "1e3", "nan", "1\n", " 1", "\u0661"])
+def test_parse_rational_rejects(text):
+    with pytest.raises(ValueError, match="not an exact rational"):
+        parse_rational(text)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,27 @@ def test_check_cert_unreadable_file(capsys, tmp_path):
     assert "cannot read certificate" in obj["error"]
 
 
+def test_certify_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "cert.txt"
+    code, obj = _run_json(capsys, "certify", "--a", "4", "--b", "1", "--out", str(target))
+    assert code == 2
+    assert str(target) in obj["error"]
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_cache_dir_that_is_a_file_exits_2(capsys, tmp_path, monkeypatch, below):
+    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    cache_dir = blocker / "cache" if below else blocker
+    code, obj = _run_json(capsys, "decide", "--a", "1", "--b", "1",
+                          "--cache-dir", str(cache_dir))
+    assert code == 2
+    assert str(cache_dir) in obj["error"]
+    assert blocker.read_text() == "not a directory"
+
+
 def test_certify_invalid_hint_exits_2(capsys):
     code, obj = _run_json(capsys, "certify", "--a", "4", "--b", "1", "--v", "4")
     assert code == 2 and obj["error"] == "v is not prime"
@@ -250,6 +271,24 @@ def test_scan(capsys):
                for r in obj["rows"])
     assert {r["t"]: r["q_order"] for r in obj["rows"]} == {
         "-3": 6, "0": 2, "3": 6}
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "1e400", "-inf"])
+def test_scan_non_finite_bound_exits_2(capsys, tmp_path, monkeypatch, bound):
+    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+    code, obj = _run_json(capsys, "scan", "--B", "3", f"--bound={bound}")
+    assert code == 2 and obj == {"error": "bound must be finite"}
+    # with a cache the key cannot be written as JSON either: nothing is stored
+    code, obj = _run_json(capsys, "scan", "--B", "3", f"--bound={bound}",
+                          "--cache-dir", str(tmp_path))
+    assert code == 2 and "error" in obj
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_canonical_json_rejects_non_finite_floats():
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            canonical_json({"value": value})
 
 
 # ---------------------------------------------------------------------------

@@ -630,6 +630,11 @@ def test_certificate_malformed_inputs():
     # bad rational
     ok, msg = validate_certificate(good.replace("a = 4", "a = 4.0"))
     assert not ok and "malformed" in msg
+    for field, bad in [("a = 4", "a = 4/0"), ("b = 1", "b = \u0661"),
+                       ("det_value = ", "det_value = +-")]:
+        ok, msg = validate_certificate(good.replace(field, bad))
+        name = field.split()[0]
+        assert (ok, msg) == (False, f"malformed certificate: bad rational in {name!r}")
     # bad point syntax
     ok, msg = validate_certificate(good.replace("sigma = (4, 9)", "sigma = 4,9"))
     assert not ok and "malformed" in msg

@@ -5,19 +5,23 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import nextprime
 
-from ceresa.arith import IntPolynomial, is_prime, primes_up_to, roots_mod_p
+from ceresa.arith import IntPolynomial, InvariantViolation, is_prime, primes_up_to, roots_mod_p
 from ceresa.elliptic import mul, on_curve
 from ceresa.picard import (
     DegenerateCurve,
     PicardCurve,
     _certify_locus_factor,
+    _exact_order_division_polys,
+    _t_locus,
     associated_curves,
     canonical_model,
     decide_ceresa,
     decide_ceresa_t,
+    discriminant,
     enumerate_torsion_locus,
     invariants,
     is_isomorphic,
@@ -39,6 +43,11 @@ def test_degenerate_models_rejected():
         PicardCurve(Fraction(2), Fraction(1))  # a^2 = 4b
     with pytest.raises(DegenerateCurve):
         PicardCurve(Fraction(-2), Fraction(1))
+
+
+def test_discriminant_matches_the_formula():
+    for a, b in [(1, 1), (2, 1), (6, -3), (Fraction(1, 2), Fraction(-7, 3))]:
+        assert discriminant(a, b) == 16 * b * (a * a - 4 * b)
 
 
 def test_invariants_known():
@@ -239,6 +248,29 @@ def test_locus_polynomials_have_no_degenerate_roots():
     for e in enumerate_torsion_locus(6):
         for h in e.t_minimal_polynomials:
             assert h(1) != 0 and h(-1) != 0
+
+
+def test_t_locus_is_the_cube_root_of_the_norm_resultant():
+    """Eliminating x from f_N(x) = 0, x^3 = t^2 - 1 by a resultant gives
+    (t^2 - 1)^r S_N(t)^3 up to a constant: each t is counted once per cube
+    root x, and x = 0 contributes the degenerate t = +-1."""
+    x, t = sympy.symbols("x t")
+    exact = _exact_order_division_polys(16)
+    for n, f in exact.items():
+        r = next(i for i, c in enumerate(f) if c)
+        res = sympy.Poly(sympy.resultant(sympy.Poly(f[::-1], x).as_expr(),
+                                         x**3 - (t**2 - 1), x), t)
+        s_n = sympy.Poly(_t_locus(f).coefficients[::-1], t)
+        q, rem = sympy.div(res, sympy.Poly((t**2 - 1) ** r, t) * s_n**3)
+        assert rem.is_zero and q.is_ground and not q.is_zero, n
+        assert s_n.eval(1) != 0 and s_n.eval(-1) != 0
+
+
+def test_t_locus_rejects_a_polynomial_not_in_x_cubed():
+    with pytest.raises(InvariantViolation):
+        _t_locus([Fraction(0), Fraction(1), Fraction(1)])  # x + x^2
+    with pytest.raises(InvariantViolation):
+        _t_locus([Fraction(1), Fraction(0), Fraction(0), Fraction(1), Fraction(1)])
 
 
 def test_locus_certifier_returns_two_good_primes():
