@@ -163,11 +163,17 @@ def _cmd_height(params: dict) -> dict:
     }
 
 
-def _cmd_scan(params: dict) -> dict:
+def _scan_bound(params: dict) -> float:
+    """`scan --bound`, +inf when absent; a given bound must be finite, as
+    it goes into the cache key and the JSON output."""
     bound = params.get("bound")
     if bound is not None and not math.isfinite(bound):
         raise ValueError("bound must be finite")
-    rows = northcott_scan(params["B"], bound if bound is not None else float("inf"))
+    return math.inf if bound is None else bound
+
+
+def _cmd_scan(params: dict) -> dict:
+    rows = northcott_scan(params["B"], _scan_bound(params))
     out_rows = []
     for row in rows:
         r = {
@@ -180,8 +186,8 @@ def _cmd_scan(params: dict) -> dict:
             r["q_order"] = row.verdict.q_order
         out_rows.append(r)
     result = {"B": params["B"], "rows": out_rows}
-    if bound is not None:
-        result["bound"] = bound
+    if params.get("bound") is not None:
+        result["bound"] = params["bound"]
     return result
 
 
@@ -248,6 +254,8 @@ def _cache_key(config: CliConfig) -> str:
     if config.command == "count":
         # the computation lives over F_p: key on the reduced coefficients
         params["a"], params["b"] = _count_coefficients(params)
+    elif config.command == "scan":
+        _scan_bound(params)  # a non-finite bound has no JSON key
     elif "a" in params and "b" in params:
         # isomorphic inputs share entries: replace (a, b) by the canonical model
         ca, cb = canonical_model(params["a"], params["b"])

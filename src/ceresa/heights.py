@@ -4,7 +4,10 @@ The canonical height is computed as a sum of local heights in the
 normalization lam(2P) = 4*lam(P) - log|2y(P)|_v at every place, on a
 globally fixed 6th-power-free integral model.  Summed over all places this
 telescopes to the standard Néron-Tate height: h(nP) = n^2 h(P), zero
-exactly on torsion.
+exactly on torsion.  The archimedean term is a doubling series; at a prime
+p the term is an exact rational multiple of log p, in closed form from
+v_p(x), v_p(psi_2) and v_p(psi_3) (Silverman, "Computing heights on
+elliptic curves", Math. Comp. 51, 1988, Thm 5.2).
 """
 
 from __future__ import annotations
@@ -70,11 +73,6 @@ def _check_even_pole(vx: int):
         raise InvariantViolation(f"odd pole order {-vx} on an integral model")
 
 
-def _check_constant_chain(chain: list[int]):
-    if len(set(chain)) != 1:
-        raise InvariantViolation(f"cusp doubling chain {chain} is not constant")
-
-
 def _val(r: Fraction, p: int) -> int | None:
     """p-adic valuation of a rational; None encodes +infinity (r = 0)."""
     if r == 0:
@@ -96,137 +94,40 @@ def _vge(v: int | None, k: int) -> bool:
 
 
 def _reduces_to_cusp(x: Fraction, y: Fraction, p: int) -> bool:
-    # singular point of the reduced curve y^2 = x^3 + d mod p is (0,0);
-    # P hits it iff both partials 3x^2 and 2y vanish mod p
+    # the reduced curve y^2 = x^3 + d mod p is singular where both partials
+    # 3x^2 and 2y vanish (at (0, 0) for p >= 5); P reduces to that point
     return _vge(_val(3 * x * x, p), 1) and _vge(_val(2 * y, p), 1)
 
 
-class _PrecisionLoss(Exception):
-    """Truncated p-adic doubling chain cannot certify a valuation."""
-
-
-def _lam_p_chain_mod(x: Fraction, y: Fraction, p: int) -> tuple[Fraction, list[int]]:
-    """The cusp-escape doubling chain of `_lam_p_coeff`, run in integer
-    Jacobian coordinates modulo p^M instead of exact rationals.
-
-    Doubling (X:Y:Z) -> (X3:Y3:Z3) uses only ring operations, so reducing
-    mod p^M keeps every p-adic valuation below M - margin exact; whenever a
-    valuation gets too close to M the chain raises _PrecisionLoss and the
-    caller falls back to the exact chain.  This keeps the coordinate sizes
-    bounded (exact doubling quadruples the bit length per step)."""
-    M = 160
-    margin = 8
-    q = p**M
-    budget = M  # absolute p-adic precision of the current X, Y, Z
-
-    def vq(n: int) -> int:
-        n %= q
-        if n == 0:
-            raise _PrecisionLoss
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        if v > budget - margin:
-            raise _PrecisionLoss
-        return v
-
-    den = math.lcm(x.denominator, y.denominator)
-    X = int(x * den * den) % q
-    Y = int(y * den * den * den) % q
-    Z = den % q
-    v2 = 1 if p == 2 else 0
-    v3 = 1 if p == 3 else 0
-    chain: list[int] = []
-    for _ in range(8):
-        chain.append(v2 + vq(Y) - 3 * vq(Z))
-        XX = X * X % q
-        YY = Y * Y % q
-        A = 3 * XX % q
-        X3 = (A * A - 8 * X * YY) % q
-        Y3 = (A * (4 * X * YY - X3) - 8 * YY * YY) % q
-        Z3 = 2 * Y * Z % q
-        vx3, vy3, vz3 = vq(X3), vq(Y3), vq(Z3)
-        # projective rescaling by p^-e keeps the valuations (and hence the
-        # precision spent on exact p-power division) bounded along the chain
-        e = min(vx3 // 2, vy3 // 3, vz3)
-        if e:
-            X3 //= p ** (2 * e)
-            Y3 //= p ** (3 * e)
-            Z3 //= p**e
-            budget -= 3 * e
-            if budget <= margin:
-                raise _PrecisionLoss
-            vx3, vy3, vz3 = vx3 - 2 * e, vy3 - 3 * e, vz3 - e
-        X, Y, Z = X3, Y3, Z3
-        vx = vx3 - 2 * vz3
-        if vx < 0:
-            _check_even_pole(vx)
-            return Fraction(-vx, 2), chain
-        # cusp test: v(3x^2) >= 1 and v(2y) >= 1
-        if not (v3 + 2 * vx >= 1 and v2 + vy3 - 3 * vz3 >= 1):
-            return Fraction(0), chain
-    _check_constant_chain(chain)
-    return Fraction(-chain[-1], 3), []
-
-
 def _lam_p_coeff(x: Fraction, y: Fraction, d: int, p: int) -> Fraction:
-    """Local height at p as an exact multiple of log p.
+    """Local height at p as an exact multiple of log p, in the
+    normalization lam(mP) = m^2 lam(P) + v_p(psi_m(P)) log p.
 
     Smooth reduction: lam_p = 1/2 max(0, -v_p(x)) log p.  Reduction to the
-    cusp: unwind lam(P) = (lam(2P) - v_p(psi_2(P)) log p)/4 along doublings
-    until 2^k P reduces to a smooth point; if the chain never escapes (the
-    component group is Z/3), the unwinding has the exact fixed point
-    -v_p(psi_2(P)) log p / 3."""
+    cusp: Silverman's closed form (Math. Comp. 51, 1988, Thm 5.2) with
+    a = v_p(psi_2(P)) = v_p(2y) and b = v_p(psi_3(P)) = v_p(3x^4 + 12dx).
+    If b >= 3a the doubling chain never leaves the cusp and lam_p is its
+    fixed point -a/3 (component group Z/3); otherwise 2P escapes in one
+    step and lam_p = -b/8."""
     vx = _val(x, p)
     if vx is not None and vx < 0:
         _check_even_pole(vx)
         return Fraction(-vx, 2)
     if not _reduces_to_cusp(x, y, p):
         return Fraction(0)
-    try:
-        base, chain = _lam_p_chain_mod(x, y, p)
-    except _PrecisionLoss:
-        base, chain = _lam_p_chain_exact(x, y, d, p)
-    acc = base
-    for vtwo in reversed(chain):
-        acc = (acc - vtwo) / 4
-    return acc
-
-
-def _lam_p_chain_exact(x: Fraction, y: Fraction, d: int, p: int) -> tuple[Fraction, list[int]]:
-    """Exact-rational version of the doubling chain (slow: coordinate
-    sizes quadruple per step); reached only when the truncated chain
-    cannot certify a valuation."""
-    chain: list[int] = []
-    cx, cy = x, y
-    for _ in range(8):
-        vtwo = _val(2 * cy, p)
-        if vtwo is None:  # y = 0 is 2-torsion, short-circuited
-            raise InvariantViolation("doubling chain reached 2-torsion")
-        chain.append(vtwo)
-        # double (cx, cy) on y^2 = x^3 + d
-        lam = 3 * cx * cx / (2 * cy)
-        nx = lam * lam - 2 * cx
-        ny = lam * (cx - nx) - cy
-        cx, cy = nx, ny
-        vx = _val(cx, p)
-        if vx is not None and vx < 0:
-            _check_even_pole(vx)
-            return Fraction(-vx, 2), chain
-        if not _reduces_to_cusp(cx, cy, p):
-            return Fraction(0), chain
-    # never escapes the cusp: Z/3 component group, constant correction
-    _check_constant_chain(chain)
-    return Fraction(-chain[-1], 3), []
+    a = _val(2 * y, p)
+    b = _val(3 * x**4 + 12 * d * x, p)
+    if a is None or b is None:  # 2- and 3-torsion are short-circuited
+        raise InvariantViolation(f"({x}, {y}) is torsion at the cusp of p = {p}")
+    return Fraction(-a, 3) if b >= 3 * a else Fraction(-b, 8)
 
 
 def canonical_height(E: WeierstrassCurveQ, P: CurvePoint) -> HeightValue:
     """Néron-Tate height of a rational point of y^2 = x^3 + d.
 
     Exact 0 for torsion (including O); otherwise archimedean series plus
-    exact non-archimedean corrections at the primes dividing 6d, computed
-    on the 6th-power-free integral model."""
+    exact non-archimedean corrections on the 6th-power-free integral model
+    y^2 = x^3 + d0, at the primes dividing 6*d0 and den(x)."""
     if P.inf or P in torsion_points(E.d):
         return HeightValue(0.0, 0.0)
     d0, u = sixth_power_free(Fraction(E.d))

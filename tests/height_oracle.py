@@ -1,0 +1,62 @@
+"""Reference local heights at a prime by unwinding the doubling chain.
+
+The chain doubles P over Q until 2^k P no longer reduces to the cusp of
+y^2 = x^3 + d mod p, then unwinds lam(P) = (lam(2P) - v_p(2y(P)))/4 back
+to P.  Exact rationals make it slow (coordinate sizes quadruple per step),
+so it serves only as the oracle for the closed form in `ceresa.heights`.
+"""
+
+from fractions import Fraction
+
+from ceresa.arith import InvariantViolation
+from ceresa.heights import _check_even_pole, _reduces_to_cusp, _val
+
+
+def _check_constant_chain(chain: list[int]):
+    if len(set(chain)) != 1:
+        raise InvariantViolation(f"cusp doubling chain {chain} is not constant")
+
+
+def _lam_p_chain_exact(x: Fraction, y: Fraction, d: int, p: int,
+                       steps: int = 8) -> tuple[Fraction, list[int]]:
+    """Exact-rational version of the doubling chain (slow: coordinate
+    sizes quadruple per step); a chain that has not escaped the cusp after
+    `steps` doublings is taken to be constant."""
+    chain: list[int] = []
+    cx, cy = x, y
+    for _ in range(steps):
+        vtwo = _val(2 * cy, p)
+        if vtwo is None:  # y = 0 is 2-torsion, short-circuited
+            raise InvariantViolation("doubling chain reached 2-torsion")
+        chain.append(vtwo)
+        # double (cx, cy) on y^2 = x^3 + d
+        lam = 3 * cx * cx / (2 * cy)
+        nx = lam * lam - 2 * cx
+        ny = lam * (cx - nx) - cy
+        cx, cy = nx, ny
+        vx = _val(cx, p)
+        if vx is not None and vx < 0:
+            _check_even_pole(vx)
+            return Fraction(-vx, 2), chain
+        if not _reduces_to_cusp(cx, cy, p):
+            return Fraction(0), chain
+    # never escapes the cusp: Z/3 component group, constant correction
+    _check_constant_chain(chain)
+    return Fraction(-chain[-1], 3), []
+
+
+def lam_p_coeff_chain(x: Fraction, y: Fraction, d: int, p: int, steps: int = 8) -> Fraction:
+    """Local height at p as a multiple of log p, on the integral model
+    y^2 = x^3 + d, with the cusp term unwound along at most `steps`
+    doublings."""
+    vx = _val(x, p)
+    if vx is not None and vx < 0:
+        _check_even_pole(vx)
+        return Fraction(-vx, 2)
+    if not _reduces_to_cusp(x, y, p):
+        return Fraction(0)
+    base, chain = _lam_p_chain_exact(x, y, d, p, steps)
+    acc = base
+    for vtwo in reversed(chain):
+        acc = (acc - vtwo) / 4
+    return acc

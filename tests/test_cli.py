@@ -278,10 +278,10 @@ def test_scan_non_finite_bound_exits_2(capsys, tmp_path, monkeypatch, bound):
     monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
     code, obj = _run_json(capsys, "scan", "--B", "3", f"--bound={bound}")
     assert code == 2 and obj == {"error": "bound must be finite"}
-    # with a cache the key cannot be written as JSON either: nothing is stored
+    # with a cache the bound is rejected before the key is built: nothing is stored
     code, obj = _run_json(capsys, "scan", "--B", "3", f"--bound={bound}",
                           "--cache-dir", str(tmp_path))
-    assert code == 2 and "error" in obj
+    assert code == 2 and obj == {"error": "bound must be finite"}
     assert list(tmp_path.iterdir()) == []
 
 

@@ -4,14 +4,26 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from ceresa.elliptic import CurvePoint, WeierstrassCurveQ, mul, on_curve
+from ceresa.arith import factorize
+from ceresa.elliptic import (
+    CurvePoint,
+    WeierstrassCurveQ,
+    mul,
+    on_curve,
+    sixth_power_free,
+    torsion_points,
+)
 from ceresa.heights import (
     HeightValue,
+    _lam_p_coeff,
     canonical_height,
     naive_height,
     northcott_scan,
 )
+
+from height_oracle import lam_p_coeff_chain
 
 # Battery of reference values, frozen from an independent evaluation of the
 # local-height definition (naive-height limit telescoped through repeated
@@ -135,3 +147,81 @@ def test_height_invariant_under_sextic_rescaling():
     assert on_curve(E2, P2)
     h1, h2 = canonical_height(E1, P1), canonical_height(E2, P2)
     assert abs(h1.value - h2.value) <= 2e-9
+
+
+# repr of the height, frozen from the doubling-chain implementation of the
+# p-adic terms, for points that reach each branch of the closed form
+_FROZEN_BITS = [
+    # pole at 2 (and -a/3 at 3)
+    (Fraction(36), (Fraction(105, 4), Fraction(1077, 8)), "1.9995786487575873"),
+    # -a/3 at 5
+    (Fraction(-100), (Fraction(5), Fraction(5)), "0.5261242364103362"),
+    # -b/8 = -1/4 at 3: the marked point of t = 3/2
+    (Fraction(100), (Fraction(5), Fraction(15)), "0.2967051996155455"),
+    # non-integral d
+    (Fraction(17, 64), (Fraction(-1, 4), Fraction(1, 2)), "0.7125521577028368"),
+    # non-integral d, -a/3 at 2 and 3: the marked point of t = 5/7
+    (Fraction(36864, 2401), (Fraction(-96, 49), Fraction(-960, 343)), "0.679023684148041"),
+]
+
+
+@pytest.mark.parametrize("d,pt,bits", _FROZEN_BITS)
+def test_frozen_float_bits(d, pt, bits):
+    assert repr(canonical_height(WeierstrassCurveQ(d), CurvePoint(*pt)).value) == bits
+
+
+def _assert_terms_match_oracle(d, P, steps=8):
+    # every p-adic term of canonical_height, on its 6th-power-free model
+    d0, u = sixth_power_free(Fraction(d))
+    x, y = Fraction(P.x) / u**2, Fraction(P.y) / u**3
+    places = set(factorize(6 * d0)) | set(factorize(math.isqrt(x.denominator)))
+    for p in sorted(places):
+        assert _lam_p_coeff(x, y, d0, p) == lam_p_coeff_chain(x, y, d0, p, steps), (d, P, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-30, 30), st.integers(1, 60),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 4), st.integers(0, 4))
+def test_lam_p_matches_doubling_chain_oracle(x1, y1, i, j, k, l):
+    """The closed form equals the unwound doubling chain on integral points
+    and their multiples kP, k <= 5.  x and y carry independent powers of 2
+    and 3, so v_2(d0) and v_3(d0) run through their classes.  Three
+    doublings keep the exact chain small: on these models a chain leaves
+    the cusp at its first step or never."""
+    x, y = x1 * 2**i * 3**j, y1 * 2**k * 3**l
+    d = Fraction(y * y - x**3)
+    assume(d != 0)
+    E = WeierstrassCurveQ(d)
+    P = CurvePoint(Fraction(x), Fraction(y))
+    assume(P not in torsion_points(d))
+    for n in range(1, 6):
+        _assert_terms_match_oracle(d, mul(E, n, P), steps=3)
+
+
+@pytest.mark.parametrize("d,pt", [
+    # d0 = 16k with k = 1 mod 4: the model is not minimal at 2, and the
+    # point sits in the cusp there with v_2(psi_3) >= 3 v_2(psi_2)
+    (80, (-4, 4)),
+    (-48, (4, 4)),
+    # v_3(d0) = 5: no integral point reduces to the cusp at 3
+    (25758, (-29, 37)),
+])
+def test_lam_p_matches_oracle_on_special_models(d, pt):
+    E = WeierstrassCurveQ(Fraction(d))
+    P = CurvePoint(Fraction(pt[0]), Fraction(pt[1]))
+    assert on_curve(E, P) and sixth_power_free(Fraction(d)) == (d, 1)
+    _assert_terms_match_oracle(d, P)
+    for n in (2, 3):
+        _assert_terms_match_oracle(d, mul(E, n, P), steps=3)
+
+
+@pytest.mark.parametrize("p,expected", [(2, Fraction(-1, 2)), (3, Fraction(-3, 4)),
+                                        (5, Fraction(-1, 2)), (7, Fraction(-1, 2))])
+def test_lam_p_at_high_valuation(p, expected):
+    """y = 2p^200 on y^2 = x^3 + d with x = -p: v_p(psi_2) = 200 + v_p(4)
+    is far beyond any fixed p-adic working precision; the point leaves the
+    cusp in one doubling."""
+    x, y = Fraction(-p), Fraction(2 * p**200)
+    d = 4 * p**400 + p**3
+    assert y * y == x**3 + d
+    assert _lam_p_coeff(x, y, d, p) == lam_p_coeff_chain(x, y, d, p) == expected
