@@ -14,13 +14,15 @@ at or above arith.PRIMALITY_BOUND where a prime is expected, a non-finite
 scan bound) or a file that cannot be read or written (--out, the cache
 directory, a certificate); 3 certificate search exhausted; 4 internal
 consistency failure (failed certificate check, a violated invariant); 64
-usage error.
+usage error.  A closed stdout (a reader such as `head` that exits early)
+leaves the code unchanged and prints no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -326,11 +328,9 @@ def check_certificate(path: str) -> int:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        print(canonical_json({"error": f"cannot read certificate: {e}"}))
-        return 2
+        return _emit(canonical_json({"error": f"cannot read certificate: {e}"}) + "\n", 2)
     ok, reason = ffcert.validate_certificate(text)
-    print(canonical_json({"ok": ok, "reason": reason}))
-    return 0 if ok else 4
+    return _emit(canonical_json({"ok": ok, "reason": reason}) + "\n", 0 if ok else 4)
 
 
 def run(config: CliConfig) -> int:
@@ -362,17 +362,30 @@ def run(config: CliConfig) -> int:
         return _fail(config, str(e), 4)
 
     if config.output == "json":
-        print(payload)
-    else:
-        _print_table(result, sys.stdout)
-    return 0
+        return _emit(payload + "\n", 0)
+    table = io.StringIO()
+    _print_table(result, table)
+    return _emit(table.getvalue(), 0)
 
 
 def _fail(config: CliConfig, message: str, code: int) -> int:
     if config.output == "json":
-        print(canonical_json({"error": message}))
-    else:
-        print(f"error: {message}", file=sys.stderr)
+        return _emit(canonical_json({"error": message}) + "\n", code)
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _emit(text: str, code: int) -> int:
+    """Write text to stdout and return code.  If the reader closed the
+    pipe early (`| head`), the command still ends quietly with code: stdout
+    is pointed at os.devnull, so the flush at interpreter shutdown cannot
+    fail again and print "Exception ignored"."""
+    try:
+        print(text, end="", flush=True)  # a no-op when there is no stdout at all
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -17,11 +17,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_eq,
+    mpf_gt,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
 
 from .arith import InvariantViolation, factorize
 from .elliptic import CurvePoint, WeierstrassCurveQ, sixth_power_free, torsion_points
 
 _ARCH_TERMS = 40
+_PREC = 80  # bits for the archimedean series and the sum of local terms
 _ERROR_BOUND = 1e-9  # dominated by the 4^-40 series tail at 80-bit precision
 
 
@@ -42,8 +60,8 @@ def naive_height(x: Fraction) -> float:
 
 
 def _log_plus(t):
-    a = abs(t)
-    return mp.log(a) if a > 1 else mp.mpf(0)
+    a = mpf_abs(t)
+    return mpf_log(a, _PREC, round_nearest) if mpf_gt(a, fone) else fzero
 
 
 def _lam_arch(x0: Fraction, d: int):
@@ -53,18 +71,30 @@ def _lam_arch(x0: Fraction, d: int):
         c(x) = 1/2 (log+|x(2P)| - 4 log+|x| + log|4x^3 + 4d|),
 
     where x_{n+1} = x(2P_n).  The summand c is bounded (the log|4x^3+4d|
-    term cancels the blowup near 2-torsion), so the tail is O(4^-N)."""
-    x = mp.mpf(x0.numerator) / x0.denominator
-    dd = mp.mpf(d)
-    total = _log_plus(x) / 2
+    term cancels the blowup near 2-torsion), so the tail is O(4^-N).
+
+    Runs on raw mpmath.libmp values at _PREC bits, round to nearest, and
+    returns one: the same rounded operations, in the same order, as the
+    operator form kept in tests/height_oracle.py, so the bits agree.  The
+    divisions by 2 and 4^(n+1) are exact and fold into one shift."""
+    prec, rnd = _PREC, round_nearest
+    x = mpf_div(from_int(x0.numerator, prec, rnd), from_int(x0.denominator), prec, rnd)
+    dd = from_int(d, prec, rnd)
+    dd4 = mpf_mul_int(dd, 4, prec, rnd)
+    dd8 = mpf_mul_int(dd, 8, prec, rnd)
+    lx = _log_plus(x)
+    total = mpf_shift(lx, -1)
     for n in range(_ARCH_TERMS):
-        den = 4 * x**3 + 4 * dd
-        if den == 0:  # exact 2-torsion is short-circuited before this
+        den = mpf_add(mpf_mul_int(mpf_pow_int(x, 3, prec, rnd), 4, prec, rnd), dd4, prec, rnd)
+        if mpf_eq(den, fzero):  # exact 2-torsion is short-circuited before this
             raise InvariantViolation("archimedean series reached 2-torsion")
-        x2 = (x**4 - 8 * dd * x) / den
-        c = (_log_plus(x2) - 4 * _log_plus(x) + mp.log(abs(den))) / 2
-        total += c / mp.mpf(4) ** (n + 1)
-        x = x2
+        num = mpf_sub(mpf_pow_int(x, 4, prec, rnd), mpf_mul(dd8, x, prec, rnd), prec, rnd)
+        x = mpf_div(num, den, prec, rnd)
+        lx2 = _log_plus(x)
+        c = mpf_add(mpf_sub(lx2, mpf_mul_int(lx, 4, prec, rnd), prec, rnd),
+                    mpf_log(mpf_abs(den), prec, rnd), prec, rnd)
+        total = mpf_add(total, mpf_shift(c, -2 * n - 3), prec, rnd)
+        lx = lx2
     return total
 
 
@@ -142,8 +172,8 @@ def canonical_height(E: WeierstrassCurveQ, P: CurvePoint) -> HeightValue:
     if root * root != x.denominator:
         raise InvariantViolation(f"denominator of x = {x} is not a square")
     places = set(factorize(6 * d0)) | set(factorize(root))
-    with mp.workprec(80):
-        total = _lam_arch(x, d0)
+    with mp.workprec(_PREC):
+        total = mp.mpf(_lam_arch(x, d0))
         for p in sorted(places):
             coeff = _lam_p_coeff(x, y, d0, p)
             if coeff:

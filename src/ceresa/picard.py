@@ -31,9 +31,9 @@ from .elliptic import (
     CurvePoint,
     WeierstrassCurveFp,
     WeierstrassCurveQ,
+    add,
     division_poly,
     genus1_weierstrass_d,
-    mul,
     on_curve,
     order_fp,
 )
@@ -145,8 +145,10 @@ def decide_ceresa(c: PicardCurve) -> CeresaVerdict:
     assoc = associated_curves(c)
     E, Q = assoc.EDelta, assoc.Q
     dtxt = f"y^2 = x^3 + {E.d}"
-    for k in (2, 3, 6):
-        if mul(E, k, Q).inf:
+    Q2 = add(E, Q, Q)
+    Q3 = add(E, Q2, Q)
+    for k, kQ in ((2, Q2), (3, Q3), (6, add(E, Q3, Q3))):
+        if kQ.inf:
             return CeresaVerdict(
                 "torsion",
                 k,

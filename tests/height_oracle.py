@@ -1,15 +1,43 @@
-"""Reference local heights at a prime by unwinding the doubling chain.
+"""Reference local heights for the kernels in `ceresa.heights`.
 
-The chain doubles P over Q until 2^k P no longer reduces to the cusp of
-y^2 = x^3 + d mod p, then unwinds lam(P) = (lam(2P) - v_p(2y(P)))/4 back
-to P.  Exact rationals make it slow (coordinate sizes quadruple per step),
-so it serves only as the oracle for the closed form in `ceresa.heights`.
+At a prime: the chain doubles P over Q until 2^k P no longer reduces to the
+cusp of y^2 = x^3 + d mod p, then unwinds lam(P) = (lam(2P) - v_p(2y(P)))/4
+back to P.  Exact rationals make it slow (coordinate sizes quadruple per
+step), so it serves only as the oracle for the closed form.
+
+At infinity: the doubling series written with mpmath's `mpf` operators,
+the oracle for the raw `mpmath.libmp` kernel, which must match it bit for
+bit.
 """
 
 from fractions import Fraction
 
+from mpmath import mp
+
 from ceresa.arith import InvariantViolation
-from ceresa.heights import _check_even_pole, _reduces_to_cusp, _val
+from ceresa.heights import _ARCH_TERMS, _check_even_pole, _reduces_to_cusp, _val
+
+
+def _log_plus(t):
+    a = abs(t)
+    return mp.log(a) if a > 1 else mp.mpf(0)
+
+
+def lam_arch_reference(x0: Fraction, d: int):
+    """The archimedean doubling series at the current mp precision, one
+    `mpf` operator per rounded operation (call it inside mp.workprec)."""
+    x = mp.mpf(x0.numerator) / x0.denominator
+    dd = mp.mpf(d)
+    total = _log_plus(x) / 2
+    for n in range(_ARCH_TERMS):
+        den = 4 * x**3 + 4 * dd
+        if den == 0:
+            raise InvariantViolation("archimedean series reached 2-torsion")
+        x2 = (x**4 - 8 * dd * x) / den
+        c = (_log_plus(x2) - 4 * _log_plus(x) + mp.log(abs(den))) / 2
+        total += c / mp.mpf(4) ** (n + 1)
+        x = x2
+    return total
 
 
 def _check_constant_chain(chain: list[int]):

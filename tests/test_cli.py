@@ -2,8 +2,11 @@
 codes, table output, certificate files, and the result cache."""
 
 import ast
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -273,6 +276,15 @@ def test_scan(capsys):
         "-3": 6, "0": 2, "3": 6}
 
 
+def test_scan_stdout_digest_pinned(capsys):
+    """Every float bit of the heights reaches this output; the digest is
+    that of the archimedean series in mpf operators (tests/height_oracle.py)."""
+    code, out, err = _run(capsys, "scan", "--B", "12")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "748564d6d9fab03cd58fcf7fd1bc63fdea834dd9f929546b107df09e8d5d1703")
+
+
 @pytest.mark.parametrize("bound", ["nan", "inf", "1e400", "-inf"])
 def test_scan_non_finite_bound_exits_2(capsys, tmp_path, monkeypatch, bound):
     monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
@@ -344,6 +356,35 @@ def test_table_error_goes_to_stderr(capsys):
     code, out, err = _run(capsys, "decide", "--a", "2", "--b", "1", "--table")
     assert code == 2
     assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["scan", "--B", "4"], 0),
+    (["scan", "--B", "4", "--table"], 0),
+    (["decide", "--a", "2", "--b", "1"], 2),
+    (["check-cert", "no-such-certificate.txt"], 2),
+])
+def test_closed_stdout_keeps_exit_code(tmp_path, argv, code):
+    """A reader that goes away before the output (`| head -c 0`) gets no
+    traceback on stderr, and the command's own exit code stands; so does a
+    command started with no stdout at all (`>&-`)."""
+    r, w = os.pipe()
+    os.close(r)  # the read end is closed before the CLI writes
+    src = str(Path(ceresa.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "CERESA_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "ceresa.cli", *argv]
+    try:
+        proc = subprocess.run(cmd, stdout=w, stderr=subprocess.PIPE, cwd=tmp_path,
+                              env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+    assert proc.returncode == code
+    proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *cmd], stderr=subprocess.PIPE,
+                          cwd=tmp_path, env=env, timeout=120)
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+    assert proc.returncode == code
 
 
 def test_usage_errors_exit_64(capsys):

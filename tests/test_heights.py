@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from mpmath import mp
 
-from ceresa.arith import factorize
+from ceresa.arith import InvariantViolation, factorize
 from ceresa.elliptic import (
     CurvePoint,
     WeierstrassCurveQ,
@@ -16,14 +17,17 @@ from ceresa.elliptic import (
     torsion_points,
 )
 from ceresa.heights import (
+    _PREC,
     HeightValue,
+    _lam_arch,
     _lam_p_coeff,
     canonical_height,
     naive_height,
     northcott_scan,
 )
+from ceresa.picard import PicardCurve, associated_curves
 
-from height_oracle import lam_p_coeff_chain
+from height_oracle import lam_arch_reference, lam_p_coeff_chain
 
 # Battery of reference values, frozen from an independent evaluation of the
 # local-height definition (naive-height limit telescoped through repeated
@@ -168,6 +172,61 @@ _FROZEN_BITS = [
 @pytest.mark.parametrize("d,pt,bits", _FROZEN_BITS)
 def test_frozen_float_bits(d, pt, bits):
     assert repr(canonical_height(WeierstrassCurveQ(d), CurvePoint(*pt)).value) == bits
+
+
+def _arch_inputs_box(B):
+    # (x, d0) of every non-torsion marked point of the t-box, as
+    # canonical_height hands it to the archimedean series
+    out = []
+    for t in {Fraction(m, n) for n in range(1, B + 1) for m in range(-B, B + 1)} - {1, -1}:
+        assoc = associated_curves(PicardCurve(2 * t, Fraction(1)))
+        E, Q = assoc.EDelta, assoc.Q
+        if Q not in torsion_points(E.d):
+            d0, u = sixth_power_free(Fraction(E.d))
+            out.append((Fraction(Q.x) / u**2, d0))
+    return out
+
+
+def _arch_inputs_multiples():
+    # nP, n <= 5, of the non-torsion integral points with x < 200 on
+    # y^2 = x^3 + d, |d| <= 60 (each d is its own 6th-power-free model)
+    out = []
+    for d in range(-60, 61):
+        if d == 0:
+            continue
+        E = WeierstrassCurveQ(Fraction(d))
+        for x in range(-4, 200):
+            y = math.isqrt(max(x**3 + d, 0))
+            P = CurvePoint(Fraction(x), Fraction(y))
+            if y * y == x**3 + d and P not in torsion_points(E.d):
+                out += [(Fraction(mul(E, n, P).x), d) for n in range(1, 6)]
+    return out
+
+
+def _arch_inputs_near_two_torsion():
+    # x close to the real root of x^3 + d, where |4x^3 + 4d| is small and
+    # the log term of the summand is large and negative; the last d has 88
+    # bits, so it is rounded on entry to the series
+    out = []
+    for d in (2, -5, 17):
+        root = Fraction(-math.copysign(abs(d) ** (1 / 3), d))
+        out += [(root.limit_denominator(10**k), d) for k in (2, 5, 8, 12, 15)]
+    k = 2**29 + 5
+    return out + [(Fraction(-k), k**3 + 4)]
+
+
+def test_lam_arch_bits_match_operator_reference():
+    """The raw mpmath.libmp series is the mpf-operator series bit for bit."""
+    cases = _arch_inputs_box(12) + _arch_inputs_multiples() + _arch_inputs_near_two_torsion()
+    assert len(cases) > 400
+    with mp.workprec(_PREC):
+        for x, d in cases:
+            assert _lam_arch(x, d) == lam_arch_reference(x, d)._mpf_, (x, d)
+
+
+def test_lam_arch_rejects_exact_two_torsion():
+    with pytest.raises(InvariantViolation, match="2-torsion"):
+        _lam_arch(Fraction(-1), 1)
 
 
 def _assert_terms_match_oracle(d, P, steps=8):
