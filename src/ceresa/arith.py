@@ -1,10 +1,10 @@
 """Exact scalar arithmetic and exact linear algebra.
 
-Primes and factoring, exact integer and rational k-th roots, the rational
-text form and its parser, cube roots mod p, integer polynomials with their
-roots mod p and their factors over Q, rational root extraction and
-fraction-free determinants.  Every operation in this module is exact; no
-floating point anywhere.
+Primes, factoring and k-th-power parts, exact integer and rational k-th
+roots, the rational text form and its parser, cube roots mod p, integer
+polynomials with their roots mod p and their factors over Q (which give
+their rational roots) and fraction-free determinants.  Every operation in
+this module is exact; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -84,12 +84,12 @@ def factorize(n: int) -> dict[int, int]:
     return {int(p): int(e) for p, e in factorint(abs(n)).items()}
 
 
-def divisors_from_factorization(fac: dict[int, int]) -> list[int]:
-    """All positive divisors, unsorted."""
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
+def power_part(n: int, k: int) -> int:
+    """The largest m >= 1 with m**k dividing n; n must be nonzero."""
+    m = 1
+    for p, e in factorize(n).items():
+        m *= p ** (e // k)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -329,39 +329,12 @@ def factor_over_q(coeffs) -> list[IntPolynomial]:
 
 
 def rational_roots(f: IntPolynomial) -> list[Fraction]:
-    """All rational roots of f (multiplicity ignored), sorted.
-
-    Divisor search over the leading and constant coefficients (rational
-    root theorem); the divisors come from exact factorization so large
-    coefficients are handled.  If the candidate set would be enormous the
-    search falls back to factoring f over Q.
-    """
+    """All rational roots of f (multiplicity ignored), sorted: the roots of
+    its degree-1 factors over Q."""
     if f.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
-    coeffs = list(f.coefficients)
-    roots: set[Fraction] = set()
-    # strip powers of x
-    k = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        k += 1
-    if k:
-        roots.add(Fraction(0))
-    if len(coeffs) == 1:
-        return sorted(roots)
-    a0, an = abs(coeffs[0]), abs(coeffs[-1])
-    p_divs = divisors_from_factorization(factorize(a0))
-    q_divs = divisors_from_factorization(factorize(an))
-    if len(p_divs) * len(q_divs) > 100_000:
-        roots.update(Fraction(-h.coefficients[0], h.coefficients[1])
-                     for h in factor_over_q(coeffs) if h.degree == 1)
-        return sorted(roots)
-    for num in p_divs:
-        for den in q_divs:
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and poly_eval(coeffs, cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    return sorted(Fraction(-h.coefficients[0], h.coefficients[1])
+                  for h in factor_over_q(f.coefficients) if h.degree == 1)
 
 
 # ---------------------------------------------------------------------------

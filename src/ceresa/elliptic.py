@@ -24,6 +24,7 @@ from .arith import (
     poly_scale,
     poly_sub,
     poly_trim,
+    power_part,
     primitive_int_poly,
     rational_root,
     rational_roots,
@@ -215,12 +216,8 @@ def sixth_power_free(d: Fraction) -> tuple[int, Fraction]:
         raise ValueError("d must be nonzero")
     den = d.denominator
     d1 = d.numerator * den**5  # d * den^6, an integer
-    u = Fraction(1, den)
-    mu = 1
-    for q, e in factorize(d1).items():
-        mu *= q ** (e // 6)
-    d0 = d1 // mu**6
-    return d0, u * mu
+    mu = power_part(d1, 6)
+    return d1 // mu**6, Fraction(mu, den)
 
 
 def torsion_j0_Q(d: Fraction) -> TorsionGroupQ:
@@ -265,68 +262,37 @@ def torsion_points(d: Fraction) -> list[CurvePoint]:
 # ---------------------------------------------------------------------------
 # division polynomials for y^2 = x^3 + d
 #
-# With y^2 eliminated, psi_n is a pure polynomial in x for odd n and
-# 2y * E_n(x) for even n.  O_n and E_n satisfy the standard recurrences
-# specialized to a4 = 0, a6 = d (F denotes x^3 + d = y^2):
-#   O_{2m+1} = 16 F^2 E_{m+2} E_m^3 - O_{m-1} O_{m+1}^3      (m even)
-#   O_{2m+1} = O_{m+2} O_m^3 - 16 F^2 E_{m-1} E_{m+1}^3      (m odd)
-#   E_{2m}   = E_m (E_{m+2} O_{m-1}^2 - E_{m-2} O_{m+1}^2)   (m even)
-#   E_{2m}   = O_m (O_{m+2} E_{m-1}^2 - O_{m-2} E_{m+1}^2)   (m odd)
+# With y^2 eliminated, psi_k is a polynomial in x for odd k and 2y times
+# one for even k; psi[k] below is psi_k for odd k and psi_k/2y for even k.
+# The standard recurrences, specialized to a4 = 0, a6 = d (F denotes
+# x^3 + d = y^2), then share one shape:
+#   psi[2m+1] = psi[m+2] psi[m]^3 - psi[m-1] psi[m+1]^3
+#   psi[2m]   = psi[m] (psi[m+2] psi[m-1]^2 - psi[m-2] psi[m+1]^2)
+# where the odd step puts 16 F^2 = (2y)^4 on the product whose indices are
+# even.
 
 def _division_tables(d, n: int):
-    """Coefficient lists for O_k (k odd) and E_k (k even), k <= n+2; the
-    coefficients are ints when d is an int."""
+    """The coefficient lists psi[k], k <= n+2, and F; the coefficients are
+    ints when d is an int."""
     F = [d, 0, 0, 1]  # x^3 + d
     F2_16 = poly_scale(poly_mul(F, F), 16)
-    O = {1: [1], 3: poly_trim([0, 12 * d, 0, 0, 3])}
-    E = {0: [], 2: [1], 4: poly_trim([-16 * d * d, 0, 0, 40 * d, 0, 0, 2])}
-
-    def get_O(k):
-        if k in O:
-            return O[k]
-        m = (k - 1) // 2
-        if m % 2 == 0:
-            val = poly_sub(
-                poly_mul(F2_16, poly_mul(get_E(m + 2), poly_mul(get_E(m), poly_mul(get_E(m), get_E(m))))),
-                poly_mul(get_O(m - 1), poly_mul(get_O(m + 1), poly_mul(get_O(m + 1), get_O(m + 1)))),
-            )
-        else:
-            val = poly_sub(
-                poly_mul(get_O(m + 2), poly_mul(get_O(m), poly_mul(get_O(m), get_O(m)))),
-                poly_mul(F2_16, poly_mul(get_E(m - 1), poly_mul(get_E(m + 1), poly_mul(get_E(m + 1), get_E(m + 1))))),
-            )
-        O[k] = val
-        return val
-
-    def get_E(k):
-        if k in E:
-            return E[k]
+    psi = [[], [1], [1], poly_trim([0, 12 * d, 0, 0, 3]),
+           poly_trim([-16 * d * d, 0, 0, 40 * d, 0, 0, 2])]
+    for k in range(5, n + 3):
         m = k // 2
-        if m % 2 == 0:
-            val = poly_mul(
-                get_E(m),
-                poly_sub(
-                    poly_mul(get_E(m + 2), poly_mul(get_O(m - 1), get_O(m - 1))),
-                    poly_mul(get_E(m - 2), poly_mul(get_O(m + 1), get_O(m + 1))),
-                ),
-            )
-        else:
-            val = poly_mul(
-                get_O(m),
-                poly_sub(
-                    poly_mul(get_O(m + 2), poly_mul(get_E(m - 1), get_E(m - 1))),
-                    poly_mul(get_O(m - 2), poly_mul(get_E(m + 1), get_E(m + 1))),
-                ),
-            )
-        E[k] = val
-        return val
-
-    for k in range(1, n + 3):
         if k % 2:
-            get_O(k)
+            hi = poly_mul(psi[m + 2], poly_mul(psi[m], poly_mul(psi[m], psi[m])))
+            lo = poly_mul(psi[m - 1], poly_mul(psi[m + 1], poly_mul(psi[m + 1], psi[m + 1])))
+            if m % 2:
+                lo = poly_mul(F2_16, lo)
+            else:
+                hi = poly_mul(F2_16, hi)
+            psi.append(poly_sub(hi, lo))
         else:
-            get_E(k)
-    return O, E, F
+            psi.append(poly_mul(psi[m], poly_sub(
+                poly_mul(psi[m + 2], poly_mul(psi[m - 1], psi[m - 1])),
+                poly_mul(psi[m - 2], poly_mul(psi[m + 1], psi[m + 1])))))
+    return psi, F
 
 
 def division_poly(E: WeierstrassCurveQ, n: int) -> IntPolynomial:
@@ -343,8 +309,8 @@ def division_poly(E: WeierstrassCurveQ, n: int) -> IntPolynomial:
     if n == 1:
         return IntPolynomial((1,))
     d = Fraction(E.d)
-    O, Ev, F = _division_tables(d.numerator if d.denominator == 1 else d, n)
-    coeffs = O[n] if n % 2 else poly_mul(F, Ev[n])
+    psi, F = _division_tables(d.numerator if d.denominator == 1 else d, n)
+    coeffs = psi[n] if n % 2 else poly_mul(F, psi[n])
     dens = [c.denominator for c in coeffs]
     scale = math.lcm(*dens)
     return IntPolynomial(tuple(int(c * scale) for c in coeffs))
@@ -352,14 +318,14 @@ def division_poly(E: WeierstrassCurveQ, n: int) -> IntPolynomial:
 
 def _x_mult_fraction(d: Fraction, n: int):
     """Numerator and denominator (in Q[x]) of the x-coordinate map of [n]."""
-    O, Ev, F = _division_tables(d, n + 1)
+    psi, F = _division_tables(d, n + 1)
     x = [Fraction(0), Fraction(1)]
     if n % 2:
-        den = poly_mul(O[n], O[n])
-        num = poly_sub(poly_mul(x, den), poly_scale(poly_mul(F, poly_mul(Ev[n - 1], Ev[n + 1])), Fraction(4)))
+        den = poly_mul(psi[n], psi[n])
+        num = poly_sub(poly_mul(x, den), poly_scale(poly_mul(F, poly_mul(psi[n - 1], psi[n + 1])), Fraction(4)))
     else:
-        den = poly_scale(poly_mul(F, poly_mul(Ev[n], Ev[n])), Fraction(4))
-        num = poly_sub(poly_mul(x, den), poly_mul(O[n - 1], O[n + 1]))
+        den = poly_scale(poly_mul(F, poly_mul(psi[n], psi[n])), Fraction(4))
+        num = poly_sub(poly_mul(x, den), poly_mul(psi[n - 1], psi[n + 1]))
     return num, den
 
 
@@ -374,16 +340,11 @@ def divide_point(E: WeierstrassCurveQ, n: int, Q: CurvePoint) -> list[CurvePoint
     if n == 1:
         return [Q]
     d = Fraction(E.d)
-    sols: list[CurvePoint] = []
-    if Q.inf:
-        # rational n-torsion: x-roots of the division polynomial
-        candidates = rational_roots(division_poly(E, n))
-        sols.append(INFINITY)
-    else:
-        num, den = _x_mult_fraction(d, n)
-        f = poly_sub(num, poly_scale(den, Fraction(Q.x)))
-        candidates = rational_roots(primitive_int_poly(f))
-    for x0 in candidates:
+    num, den = _x_mult_fraction(d, n)
+    # x([n]P) = x(Q), or the poles of the x-map when Q = O
+    f = den if Q.inf else poly_sub(num, poly_scale(den, Fraction(Q.x)))
+    sols = [INFINITY] if Q.inf else []
+    for x0 in rational_roots(primitive_int_poly(f)):
         y0 = rational_root(x0**3 + d, 2)
         if y0 is None:
             continue

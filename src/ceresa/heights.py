@@ -29,13 +29,14 @@ from mpmath.libmp import (
     mpf_log,
     mpf_mul,
     mpf_mul_int,
+    mpf_pos,
     mpf_pow_int,
     mpf_shift,
     mpf_sub,
     round_nearest,
 )
 
-from .arith import InvariantViolation, factorize
+from .arith import InvariantViolation, factorize, int_root
 from .elliptic import CurvePoint, WeierstrassCurveQ, sixth_power_free, torsion_points
 
 _ARCH_TERMS = 40
@@ -59,12 +60,12 @@ def naive_height(x: Fraction) -> float:
     return math.log(max(abs(x.numerator), x.denominator))
 
 
-def _log_plus(t):
+def _log_plus(t, prec):
     a = mpf_abs(t)
-    return mpf_log(a, _PREC, round_nearest) if mpf_gt(a, fone) else fzero
+    return mpf_log(a, prec, round_nearest) if mpf_gt(a, fone) else fzero
 
 
-def _lam_arch(x0: Fraction, d: int):
+def _lam_arch(x0: Fraction, d: int, prec: int = _PREC):
     """Archimedean local height via the telescoped doubling series
 
         lam = 1/2 log+|x| + sum_n 4^-(n+1) c(x_n),
@@ -76,21 +77,31 @@ def _lam_arch(x0: Fraction, d: int):
     Runs on raw mpmath.libmp values at _PREC bits, round to nearest, and
     returns one: the same rounded operations, in the same order, as the
     operator form kept in tests/height_oracle.py, so the bits agree.  The
-    divisions by 2 and 4^(n+1) are exact and fold into one shift."""
-    prec, rnd = _PREC, round_nearest
+    divisions by 2 and 4^(n+1) are exact and fold into one shift.
+
+    A term 4x^3 + 4d that rounds to 0 is 2-torsion only if x0^3 + d = 0:
+    the halves of (-c, 0) have x = c(-1 +- sqrt 3), so the orbit of a
+    rational x0 meets 2-torsion at x0 or never.  Otherwise 4x^3 and 4d
+    cancelled, and the series is redone once at a precision with room for
+    |x0|^3, |d| and den(x0)^3 >= 1/|x0^3 + d|, then rounded to _PREC bits."""
+    rnd = round_nearest
     x = mpf_div(from_int(x0.numerator, prec, rnd), from_int(x0.denominator), prec, rnd)
     dd = from_int(d, prec, rnd)
     dd4 = mpf_mul_int(dd, 4, prec, rnd)
     dd8 = mpf_mul_int(dd, 8, prec, rnd)
-    lx = _log_plus(x)
+    lx = _log_plus(x, prec)
     total = mpf_shift(lx, -1)
     for n in range(_ARCH_TERMS):
         den = mpf_add(mpf_mul_int(mpf_pow_int(x, 3, prec, rnd), 4, prec, rnd), dd4, prec, rnd)
-        if mpf_eq(den, fzero):  # exact 2-torsion is short-circuited before this
-            raise InvariantViolation("archimedean series reached 2-torsion")
+        if mpf_eq(den, fzero):
+            if x0**3 + d == 0 or prec != _PREC:
+                raise InvariantViolation("archimedean series reached 2-torsion")
+            wide = _PREC + d.bit_length() + 3 * (x0.numerator.bit_length()
+                                                 + x0.denominator.bit_length())
+            return mpf_pos(_lam_arch(x0, d, wide), _PREC, rnd)
         num = mpf_sub(mpf_pow_int(x, 4, prec, rnd), mpf_mul(dd8, x, prec, rnd), prec, rnd)
         x = mpf_div(num, den, prec, rnd)
-        lx2 = _log_plus(x)
+        lx2 = _log_plus(x, prec)
         c = mpf_add(mpf_sub(lx2, mpf_mul_int(lx, 4, prec, rnd), prec, rnd),
                     mpf_log(mpf_abs(den), prec, rnd), prec, rnd)
         total = mpf_add(total, mpf_shift(c, -2 * n - 3), prec, rnd)
@@ -168,8 +179,8 @@ def canonical_height(E: WeierstrassCurveQ, P: CurvePoint) -> HeightValue:
     # non-archimedean contributions live at the primes of bad reduction and
     # at the (good) primes where P reduces to O, i.e. those dividing den(x);
     # on an integral model den(x) is an exact square
-    root = math.isqrt(x.denominator)
-    if root * root != x.denominator:
+    root = int_root(x.denominator, 2)
+    if root is None:
         raise InvariantViolation(f"denominator of x = {x} is not a square")
     places = set(factorize(6 * d0)) | set(factorize(root))
     with mp.workprec(_PREC):

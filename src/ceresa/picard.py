@@ -17,12 +17,12 @@ from .arith import (
     InvariantViolation,
     cube_root_table,
     factor_over_q,
-    factorize,
     is_prime,
     poly_add,
     poly_div_exact,
     poly_eval,
     poly_mul,
+    power_part,
     primitive_int_poly,
     rational_root,
     roots_mod_p,
@@ -179,11 +179,9 @@ def canonical_model(a: Fraction, b: Fraction) -> tuple[int, int]:
     lam = math.lcm(a.denominator if a else 1, b.denominator)
     ai = int(a * lam**6)
     bi = int(b * lam**12)
-    for u in sorted(factorize(math.gcd(ai, bi) if ai else abs(bi))):
-        while bi % u**12 == 0 and (ai == 0 or ai % u**6 == 0):
-            ai //= u**6
-            bi //= u**12
-    return ai, bi
+    # u^6 | a and u^12 | b exactly when u^12 | gcd(a^2, b)
+    u = power_part(math.gcd(ai * ai, bi), 12)
+    return ai // u**6, bi // u**12
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from ceresa.arith import (
     IntPolynomial,
     cube_root_table,
     det_bareiss,
-    divisors_from_factorization,
     factorize,
     int_root,
     inv_mod,
@@ -23,6 +22,7 @@ from ceresa.arith import (
     poly_mul,
     poly_sub,
     poly_trim,
+    power_part,
     primes_up_to,
     parse_rational,
     primitive_int_poly,
@@ -91,10 +91,14 @@ def test_factorize_reconstructs(n):
     assert prod == n
 
 
-def test_divisors_from_factorization():
-    divs = divisors_from_factorization(factorize(360))
-    brute = [d for d in range(1, 361) if 360 % d == 0]
-    assert sorted(divs) == brute
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**6, 10**6).filter(bool), st.integers(1, 1000), st.integers(1, 12))
+def test_power_part_is_the_largest_kth_power_divisor(n0, m0, k):
+    n = n0 * m0**k
+    m = power_part(n, k)
+    assert n % m**k == 0 and m % m0 == 0
+    for p in factorize(n):
+        assert n % (m * p) ** k != 0
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +259,8 @@ def test_rational_roots():
 
 
 def test_rational_roots_factoring_fallback(monkeypatch):
-    # n = 2^4 3^2 5 7 11 13 17 has 480 divisors, so the candidates n/d and
-    # their inverses number 480 * 480 and the search factors over Q instead
+    # n = 2^4 3^2 5 7 11 13 17 has 480 divisors, so a divisor search would
+    # try 480 * 480 candidates; the roots come from one factoring over Q
     n = 12252240
     calls = []
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import nextprime
 
-from ceresa.arith import rational_root, rational_roots
+from ceresa.arith import poly_eval, rational_root, rational_roots
 from ceresa.elliptic import (
     INFINITY,
+    _x_mult_fraction,
     CurvePoint,
     Genus1Point,
     WeierstrassCurveFp,
@@ -231,6 +232,21 @@ def test_division_poly_matches_fp_torsion(d, p, n):
                 tors_x.add(x)
     assert tors_x == {r for r in roots
                       if any((y * y - r**3 - d) % p == 0 for y in range(p))}
+
+
+@pytest.mark.parametrize("d,pt", [
+    (-2, (3, 5)), (17, (-2, 3)), (17, (2, 5)), (36, (-3, 3)),
+    (Fraction(7, 16), (Fraction(1, 2), Fraction(3, 4))),
+    (Fraction(109, 27), (Fraction(-1, 3), Fraction(2))),
+])
+def test_x_map_matches_group_law(d, pt):
+    """num/den of [n] at x(P) is x(nP) for n <= 8: every psi_k, k <= 9."""
+    E = WeierstrassCurveQ(Fraction(d))
+    P = CurvePoint(*map(Fraction, pt))
+    assert on_curve(E, P) and P not in torsion_points(E.d)
+    for n in range(1, 9):
+        num, den = _x_mult_fraction(Fraction(d), n)
+        assert poly_eval(num, P.x) / poly_eval(den, P.x) == mul(E, n, P).x, n
 
 
 # ---------------------------------------------------------------------------

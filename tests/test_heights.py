@@ -1,5 +1,6 @@
 """Unit tests for canonical (Néron-Tate) heights on y^2 = x^3 + d."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from ceresa.arith import InvariantViolation, factorize
+from ceresa.cli import main
 from ceresa.elliptic import (
     CurvePoint,
     WeierstrassCurveQ,
@@ -227,6 +229,18 @@ def test_lam_arch_bits_match_operator_reference():
 def test_lam_arch_rejects_exact_two_torsion():
     with pytest.raises(InvariantViolation, match="2-torsion"):
         _lam_arch(Fraction(-1), 1)
+
+
+@pytest.mark.parametrize("d,x", [(10**30 + 1, -10**10), ((2**29 + 3)**3 + 1, -(2**29 + 3))])
+def test_lam_arch_survives_rounding_zero_at_large_d(capsys, d, x):
+    """x^3 + d = 1, but 4x^3 + 4d rounds to 0 at _PREC bits; the point is
+    not 2-torsion, so the height is computed, not refused."""
+    assert main(["height", f"--d={d}", f"--x={x}", "--y=1"]) == 0
+    bound = json.loads(capsys.readouterr().out)["error_bound"]
+    d0, u = sixth_power_free(Fraction(d))
+    x0 = Fraction(x) / u**2
+    with mp.workprec(300):
+        assert abs(mp.mpf(_lam_arch(x0, d0)) - lam_arch_reference(x0, d0)) <= bound
 
 
 def _assert_terms_match_oracle(d, P, steps=8):

@@ -221,6 +221,8 @@ def test_canonical_model_is_reduced():
     assert (ca, cb) == (3, 5)
     # a stripped only together with b
     assert canonical_model(Fraction(2**6), Fraction(3)) == (64, 3)
+    # v_2(a) = 13, v_2(b) = 12: one 2 leaves, bounded by b
+    assert canonical_model(Fraction(2**13 * 3), Fraction(2**12 * 5)) == (2**7 * 3, 5)
 
 
 # ---------------------------------------------------------------------------
