@@ -19,7 +19,7 @@ from .elliptic import (
     divide_point,
     torsion_j0_Q,
 )
-from .heights import HeightValue, NorthcottRow, canonical_height, naive_height, northcott_scan
+from .heights import HeightValue, NorthcottRow, canonical_height, northcott_scan
 from .picard import (
     AssociatedCurves,
     CeresaVerdict,
@@ -33,7 +33,6 @@ from .picard import (
     decide_ceresa_t,
     enumerate_torsion_locus,
     invariants,
-    is_isomorphic,
 )
 from .ffcert import (
     BadReduction,

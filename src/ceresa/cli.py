@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .arith import InvariantViolation, inv_mod, is_prime, parse_rational, rat_str
+from .arith import InvariantViolation, parse_rational, rat_str
 from .elliptic import CurvePoint, WeierstrassCurveQ, on_curve
 from .heights import canonical_height, northcott_scan
 from .picard import (
@@ -56,6 +56,7 @@ from .ffcert import (
     count_curve,
     frobenius_det,
     lpoly,
+    rat_mod_p,
 )
 
 class UsageError(Exception):
@@ -193,18 +194,10 @@ def _cmd_scan(params: dict) -> dict:
     return result
 
 
-def _rat_mod_p(r: Fraction, p: int) -> int:
-    if r.denominator % p == 0:
-        raise ValueError(f"denominator of {rat_str(r)} is not invertible mod {p}")
-    return r.numerator * inv_mod(r.denominator % p, p) % p
-
-
 def _count_coefficients(params: dict) -> tuple[int, int]:
-    """(a mod p, b mod p) for `count`, once p is known to be prime."""
+    """(a mod p, b mod p) for `count`."""
     p = params["p"]
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    return _rat_mod_p(params["a"], p), _rat_mod_p(params["b"], p)
+    return rat_mod_p(params["a"], p), rat_mod_p(params["b"], p)
 
 
 def _cmd_count(params: dict) -> dict:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
-    Fraction as Rational,
     IntPolynomial,
     factorize,
     int_root,
@@ -365,28 +364,22 @@ def genus1_weierstrass_d(a, b):
     return 16 * (a * a - 4 * b)
 
 
-def genus1_on_curve(a, b, P: Genus1Point, p: int | None = None) -> bool:
+def genus1_on_curve(a, b, P: Genus1Point, p: int) -> bool:
     if P.inf:
         return True
-    if p is None:
-        return Fraction(P.y) ** 3 == Fraction(P.x) ** 2 + a * P.x + b
     return (P.y**3 - P.x * P.x - a * P.x - b) % p == 0
 
 
-def genus1_to_weierstrass(a, b, P: Genus1Point, p: int | None = None) -> CurvePoint:
-    """(x, y) on y^3 = x^2+ax+b maps to (4y, 8x+4a) on y^2 = x^3+16(a^2-4b);
-    infinity to O.  Works over Q (p=None) or over F_p."""
+def genus1_to_weierstrass(a, b, P: Genus1Point, p: int) -> CurvePoint:
+    """(x, y) on y^3 = x^2+ax+b maps to (4y, 8x+4a) on y^2 = x^3+16(a^2-4b)
+    over F_p; infinity to O."""
     if P.inf:
         return INFINITY
-    if p is None:
-        return CurvePoint(4 * Fraction(P.y), 8 * Fraction(P.x) + 4 * Fraction(a))
     return CurvePoint(4 * P.y % p, (8 * P.x + 4 * a) % p)
 
 
-def weierstrass_to_genus1(a, b, W: CurvePoint, p: int | None = None) -> Genus1Point:
+def weierstrass_to_genus1(a, b, W: CurvePoint, p: int) -> Genus1Point:
     """Inverse of genus1_to_weierstrass: (X, Y) -> ((Y - 4a)/8, X/4)."""
     if W.inf:
         return Genus1Point.infinity()
-    if p is None:
-        return Genus1Point((Fraction(W.y) - 4 * Fraction(a)) / 8, Fraction(W.x) / 4)
     return Genus1Point((W.y - 4 * a) * inv_mod(8, p) % p, W.x * inv_mod(4, p) % p)

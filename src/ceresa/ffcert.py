@@ -23,6 +23,7 @@ from .arith import (
     Rational,
     cube_root_table,
     factorize,
+    inv_mod,
     is_prime,
     parse_rational,
     poly_mul,
@@ -107,15 +108,25 @@ def _count_fp2(av: int, bv: int, p: int) -> int:
     return total
 
 
+def rat_mod_p(r, p: int) -> int:
+    """The residue of an int or Fraction r mod the prime p."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    if r.denominator % p == 0:
+        raise ValueError(f"denominator of {rat_str(r)} is not invertible mod {p}")
+    return r.numerator * inv_mod(r.denominator % p, p) % p
+
+
 def count_curve(a, b, p: int, i: int) -> CountRecord:
     """#C(F_{p^i}) for C: y^3 = x^4 + ax^2 + b, as 1 + sum over x of the
     number of cube roots of x^4 + ax^2 + b (one smooth point at infinity).
-    Over F_{p^3} the count is read off the L-polynomial, whose unknowns the
-    counts over F_p and F_{p^2} fix."""
+    Rational a and b are reduced mod p first.  Over F_{p^3} the count is
+    read off the L-polynomial, whose unknowns the counts over F_p and
+    F_{p^2} fix."""
     if i not in (1, 2, 3):
         raise ValueError("extension degree must be 1, 2, or 3")
-    _check_good(p, discriminant(int(a), int(b)))
-    av, bv = int(a) % p, int(b) % p
+    av, bv = rat_mod_p(a, p), rat_mod_p(b, p)
+    _check_good(p, discriminant(av, bv))
 
     size = p**i
     if size % 3 == 2:
@@ -357,6 +368,33 @@ def _good_primes(limit: int, delta: int) -> list[int]:
     return [p for p in primes_up_to(limit) if (6 * delta) % p != 0]
 
 
+def _witness_failure(delta: int, v: int | None = None, ell: int | None = None,
+                     q: int | None = None) -> str | None:
+    """The first condition that (v, ell, q) fails as a witness for a curve
+    of discriminant delta, or None: v and q good primes, ell a prime above
+    3, and ell different from v and q.  A slot left as None is skipped."""
+    if v is not None:
+        if not is_prime(v):
+            return "v is not prime"
+        if (6 * delta) % v == 0:
+            return "bad reduction at v"
+    if ell is not None:
+        if ell <= 3:
+            return "ell must exceed 3"
+        if not is_prime(ell):
+            return "ell is not prime"
+        if ell == v:
+            return "ell equals v"
+    if q is not None:
+        if not is_prime(q):
+            return "q is not prime"
+        if (6 * delta) % q == 0:
+            return "bad reduction at q"
+        if q == ell:
+            return "q equals ell"
+    return None
+
+
 def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
                      q: int | None = None, V_max: int = 200) -> InfinitudeCertificate:
     """An independently checkable witness that the Ceresa cycle of
@@ -374,46 +412,21 @@ def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
             _check_size(value, what)
     a, b = Fraction(a), Fraction(b)
     ai, bi, delta = _good_int_model(a, b)
-
-    if v is not None:
-        if not is_prime(v):
-            raise InvalidHint("v is not prime")
-        if (6 * delta) % v == 0:
-            raise InvalidHint("bad reduction at v")
-    if ell is not None:
-        if ell <= 3:
-            raise InvalidHint("ell must exceed 3")
-        if not is_prime(ell):
-            raise InvalidHint("ell is not prime")
-        if v is not None and ell == v:
-            raise InvalidHint("ell equals v")
-    if q is not None:
-        if not is_prime(q):
-            raise InvalidHint("q is not prime")
-        if (6 * delta) % q == 0:
-            raise InvalidHint("bad reduction at q")
-        if ell is not None and q == ell:
-            raise InvalidHint("q equals ell")
+    reason = _witness_failure(delta, v, ell, q)
+    if reason:
+        raise InvalidHint(reason)
 
     hinted = v is not None and ell is not None and q is not None
-    v_range = [v] if v is not None else _good_primes(V_max, delta)
-
-    for v_try in v_range:
+    primes = _good_primes(V_max, delta)
+    for v_try in [v] if v is not None else primes:
         lift = lift_sum(ai, bi, v_try)
-        if ell is not None:
-            if lift.sigma_order % ell != 0:
-                if v is not None:
-                    raise InvalidHint("ell does not divide sigma_order")
-                continue
-            ell_range = [ell]
-        else:
-            ell_range = [f for f in sorted(factorize(lift.sigma_order))
-                         if f > 3 and f != v_try]
-        for ell_try in ell_range:
-            if ell_try == v_try:
-                continue
-            q_range = [q] if q is not None else _good_primes(V_max, delta)
-            for q_try in q_range:
+        n = lift.sigma_order
+        ells = [ell] if ell is not None else sorted(factorize(n))
+        ells = [f for f in ells if f > 3 and f != v_try and n % f == 0]
+        if v is not None and ell is not None and not ells:
+            raise InvalidHint("ell does not divide sigma_order")
+        for ell_try in ells:
+            for q_try in [q] if q is not None else primes:
                 if q_try == ell_try:
                     continue
                 det = frobenius_det(ai, bi, q_try, ell_try)
@@ -434,14 +447,13 @@ _CERT_FIELDS = ("a", "b", "v", "ell", "q", "sigma", "sigma_order", "det_value")
 def certificate_fields(cert: InfinitudeCertificate) -> dict:
     """The certificate's fields in canonical text form: rationals and sigma
     as strings, the primes and sigma_order as ints."""
-    sig = cert.lift.sigma
     return {
         "a": rat_str(cert.a),
         "b": rat_str(cert.b),
         "v": cert.v,
         "ell": cert.ell,
         "q": cert.q,
-        "sigma": "O" if sig.inf else f"({sig.x}, {sig.y})",
+        "sigma": repr(cert.lift.sigma),
         "sigma_order": cert.lift.sigma_order,
         "det_value": rat_str(cert.det.det_value),
     }
@@ -512,18 +524,12 @@ def validate_certificate(text: str) -> tuple[bool, str]:
         return False, str(e)
 
     v, ell, q = c["v"], c["ell"], c["q"]
-    if not is_prime(v):
-        return False, "v is not prime"
-    if (6 * delta) % v == 0:
-        return False, "bad reduction at v"
-    if ell <= 3:
-        return False, "ell must exceed 3"
-    if ell >= PRIMALITY_BOUND:
-        return False, "ell exceeds the primality bound"
-    if not is_prime(ell):
-        return False, "ell is not prime"
-    if ell == v:
-        return False, "ell equals v"
+    # is_prime raises at and above the bound: report it in place of the
+    # ell checks, after those on v
+    big_ell = ell >= PRIMALITY_BOUND
+    reason = _witness_failure(delta, v, None if big_ell else ell)
+    if reason or big_ell:
+        return False, reason or "ell exceeds the primality bound"
 
     lift = lift_sum(ai, bi, v)
     if lift.sigma != c["sigma"]:
@@ -533,12 +539,9 @@ def validate_certificate(text: str) -> tuple[bool, str]:
     if lift.sigma_order % ell != 0:
         return False, "ell does not divide sigma_order"
 
-    if not is_prime(q):
-        return False, "q is not prime"
-    if (6 * delta) % q == 0:
-        return False, "bad reduction at q"
-    if q == ell:
-        return False, "q equals ell"
+    reason = _witness_failure(delta, v, ell, q)
+    if reason:
+        return False, reason
 
     det = frobenius_det(ai, bi, q, ell)
     if det.det_value != c["det_value"]:

@@ -38,6 +38,7 @@ from mpmath.libmp import (
 
 from .arith import InvariantViolation, factorize, int_root
 from .elliptic import CurvePoint, WeierstrassCurveQ, sixth_power_free, torsion_points
+from .picard import PicardCurve, associated_curves, decide_ceresa_t
 
 _ARCH_TERMS = 40
 _PREC = 80  # bits for the archimedean series and the sum of local terms
@@ -52,12 +53,6 @@ class HeightValue:
 
     value: float
     error_bound: float
-
-
-def naive_height(x: Fraction) -> float:
-    """Weil height of a rational: h(m/n) = log max(|m|, n); h(0) = 0."""
-    x = Fraction(x)
-    return math.log(max(abs(x.numerator), x.denominator))
 
 
 def _log_plus(t, prec):
@@ -208,8 +203,6 @@ def northcott_scan(B: int, bound: float = math.inf) -> list[NorthcottRow]:
     the torsion verdict for the curve with (a, b) = (2t, 1) and the
     canonical height of its marked point.  Rows with height <= bound, in
     increasing t order."""
-    from .picard import PicardCurve, associated_curves, decide_ceresa_t
-
     if B < 1:
         raise ValueError("B must be >= 1")
     ts = sorted(

@@ -1,6 +1,8 @@
 """Bielliptic Picard curves y^3 = x^4 + ax^2 + b.
 
-Invariants and isomorphism testing, construction of the genus-1 quotient's
+Invariants and the canonical model (two curves are isomorphic over Q
+exactly when their canonical models agree, and over the closure exactly
+when their j-invariants agree), construction of the genus-1 quotient's
 Weierstrass model E and the sextic twist E^Delta with its marked point Q,
 the Ceresa-cycle torsion decision (torsion iff Q is torsion), and the
 enumeration of the torsion locus on the t-line (a, b) = (2t, 1).
@@ -24,7 +26,6 @@ from .arith import (
     poly_mul,
     power_part,
     primitive_int_poly,
-    rational_root,
     roots_mod_p,
 )
 from .elliptic import (
@@ -96,33 +97,6 @@ def invariants(c: PicardCurve) -> PicardInvariants:
     if delta == 0:
         raise DegenerateCurve("degenerate: Delta=0")
     return PicardInvariants(delta, (4 * c.b - c.a**2) / (4 * c.b))
-
-
-def is_isomorphic(c1: PicardCurve, c2: PicardCurve, mode: str = "over-Q"):
-    """Isomorphism test.
-
-    over-Q: returns lambda with (a2, b2) = (lambda^6 a1, lambda^12 b1), or
-    None.  over-closure: curves are isomorphic iff their j-invariants agree;
-    returns True or None.
-    """
-    if mode == "over-closure":
-        return True if invariants(c1).j == invariants(c2).j else None
-    if mode != "over-Q":
-        raise ValueError("mode must be 'over-Q' or 'over-closure'")
-    if c1.a == 0:
-        if c2.a != 0:
-            return None
-        return rational_root(c2.b / c1.b, 12)
-    if c2.a == 0:
-        return None
-    ratio = c2.a / c1.a
-    lam = rational_root(ratio, 6)
-    if lam is None:
-        # a negative ratio can still admit lambda^6 only if positive, so done
-        return None
-    if c2.b == lam**12 * c1.b:
-        return lam
-    return None
 
 
 def associated_curves(c: PicardCurve) -> AssociatedCurves:

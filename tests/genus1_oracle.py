@@ -1,11 +1,8 @@
 """The group law on the genus-1 model y^3 = x^2 + ax + b, for tests."""
 
-from fractions import Fraction
-
 from ceresa.elliptic import (
     Genus1Point,
     WeierstrassCurveFp,
-    WeierstrassCurveQ,
     add,
     genus1_to_weierstrass,
     genus1_weierstrass_d,
@@ -13,13 +10,10 @@ from ceresa.elliptic import (
 )
 
 
-def genus1_add(a, b, P: Genus1Point, Q: Genus1Point, p: int | None = None) -> Genus1Point:
-    """Group law on the genus-1 model, defined by transport of structure
-    through the Weierstrass transform (identity = image of infinity)."""
-    dw = genus1_weierstrass_d(a, b)
-    if p is None:
-        E = WeierstrassCurveQ(Fraction(dw))
-    else:
-        E = WeierstrassCurveFp(dw % p, p)
+def genus1_add(a, b, P: Genus1Point, Q: Genus1Point, p: int) -> Genus1Point:
+    """Group law on the genus-1 model over F_p, defined by transport of
+    structure through the Weierstrass transform (identity = image of
+    infinity)."""
+    E = WeierstrassCurveFp(genus1_weierstrass_d(a, b) % p, p)
     W = add(E, genus1_to_weierstrass(a, b, P, p), genus1_to_weierstrass(a, b, Q, p))
     return weierstrass_to_genus1(a, b, W, p)

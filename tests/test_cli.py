@@ -77,6 +77,10 @@ def test_decide_t(capsys):
     assert code == 0 and obj["status"] == "infinite"
     code, obj = _run_json(capsys, "decide-t", "--t", "1")
     assert code == 2 and "error" in obj
+    # a negative fraction is joined to its option with "=": argparse reads a
+    # separate "-1/2" as an option, not as the value of --t
+    code, obj = _run_json(capsys, "decide-t", "--t=-1/2")
+    assert code == 0 and obj["t"] == "-1/2"
 
 
 # ---------------------------------------------------------------------------

@@ -316,17 +316,6 @@ def test_genus1_add_matches_transported_add(a, b, p):
             assert genus1_on_curve(a, b, S, p)
 
 
-def test_genus1_transport_over_q():
-    a, b = Fraction(1), Fraction(1)
-    P = Genus1Point(Fraction(0), Fraction(1))  # 1 = 0 + 0 + 1
-    assert genus1_on_curve(a, b, P)
-    W = genus1_to_weierstrass(a, b, P)
-    assert on_curve(WeierstrassCurveQ(Fraction(genus1_weierstrass_d(a, b))), W)
-    assert weierstrass_to_genus1(a, b, W) == P
-    S = genus1_add(a, b, P, P)
-    assert genus1_on_curve(a, b, S)
-
-
 # ---------------------------------------------------------------------------
 # hypothesis: scalar multiplication is a homomorphism over F_p
 

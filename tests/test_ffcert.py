@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ceresa import ffcert
-from ceresa.arith import InvariantViolation, primes_up_to
+from ceresa.arith import PRIMALITY_BOUND, InvariantViolation, primes_up_to
 from ceresa.cli import main
 from ceresa.elliptic import Genus1Point
 from ceresa.ffcert import (
@@ -232,6 +232,15 @@ def test_count_rejects_bad_input():
         count_curve(1, 1, 5, 4)
     with pytest.raises(ValueError, match="p must be prime"):
         count_curve(1, 1, 9, 1)
+
+
+def test_count_reduces_rational_coefficients_mod_p():
+    # 3/2 = 7 and 7/2 = 9 mod 11, as `ceresa count --a 3/2 --b 7/2 --p 11`
+    assert (count_curve(Fraction(3, 2), Fraction(7, 2), 11, 1)
+            == count_curve(7, 9, 11, 1))
+    assert count_curve(7, 9, 11, 1).curve_count == 12
+    with pytest.raises(ValueError, match="not invertible mod 11"):
+        count_curve(Fraction(1, 22), 1, 11, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +603,11 @@ _TAMPER_CASES = [
     ("det_value = 44281396224/1977326743",
      "det_value = 44281396225/1977326743", "det_value mismatch"),
     ("b = 1", "b = 0", "degenerate: Delta=0"),
+    # several faults: the first in check order is reported
+    ("v = 29\nell = 5\nq = 7", "v = 4\nell = 5\nq = 8", "v is not prime"),
+    ("ell = 5\nq = 7", "ell = 7\nq = 8", "ell does not divide sigma_order"),
+    ("v = 29\nell = 5", f"v = 4\nell = {PRIMALITY_BOUND}", "v is not prime"),
+    ("q = 7\nsigma = (4, 9)", "q = 8\nsigma = (4, 10)", "sigma mismatch"),
 ]
 
 
@@ -654,6 +668,10 @@ _HINT_CASES = [
     (dict(ell=5, q=5), "q equals ell"),
     (dict(v=29, ell=7), "ell does not divide sigma_order"),
     (dict(v=29, ell=5, q=17), "det is not a unit mod ell"),
+    # several faults: the first in check order is reported
+    (dict(v=4, q=9), "v is not prime"),
+    (dict(ell=9, q=3), "ell is not prime"),
+    (dict(v=3, ell=3), "bad reduction at v"),
 ]
 
 

@@ -1,5 +1,6 @@
-"""Unit tests for the curve classification layer: invariants, isomorphism,
-torsion decision, canonical models, and the torsion locus on the t-line."""
+"""Unit tests for the curve classification layer: invariants, isomorphism
+through canonical models, torsion decision, and the torsion locus on the
+t-line."""
 
 import random
 from fractions import Fraction
@@ -24,7 +25,6 @@ from ceresa.picard import (
     discriminant,
     enumerate_torsion_locus,
     invariants,
-    is_isomorphic,
 )
 from modp_oracle import roots_mod_p_brute
 
@@ -61,38 +61,35 @@ def test_invariants_known():
 # ---------------------------------------------------------------------------
 # isomorphism
 
+# Two curves are isomorphic over Q exactly when their canonical models agree,
+# and over the closure exactly when their j-invariants agree.
+
+def _model(c: PicardCurve):
+    return canonical_model(c.a, c.b)
+
+
 @pytest.mark.parametrize("lam", [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 3),
                                  Fraction(nextprime(10**30))])
 def test_is_isomorphic_detects_rescaling(lam):
     c1 = PicardCurve(Fraction(1), Fraction(1))
     c2 = PicardCurve(lam**6 * 1, lam**12 * 1)
-    assert is_isomorphic(c1, c2) == lam
-    assert is_isomorphic(c2, c1) == 1 / lam
+    assert _model(c1) == _model(c2) == (1, 1)
     # a = 0 family
     d1 = PicardCurve(Fraction(0), Fraction(3))
     d2 = PicardCurve(Fraction(0), lam**12 * 3)
-    assert is_isomorphic(d1, d2) == lam
+    assert _model(d1) == _model(d2) == (0, 3)
 
 
 def test_is_isomorphic_negatives():
     c1 = PicardCurve(Fraction(1), Fraction(1))
-    assert is_isomorphic(c1, PicardCurve(Fraction(1), Fraction(2))) is None
-    assert is_isomorphic(c1, PicardCurve(Fraction(3), Fraction(1))) is None
-    assert is_isomorphic(c1, PicardCurve(Fraction(0), Fraction(1))) is None
-    assert is_isomorphic(PicardCurve(0, 1), c1) is None
-    # same j but not related by lambda^6 over Q
+    for other in [(1, 2), (3, 1), (0, 1)]:
+        assert _model(c1) != _model(PicardCurve(*other))
+    # (1, 2) is not isomorphic to (1, 1) over the closure either
+    assert invariants(c1).j != invariants(PicardCurve(1, 2)).j
+    # same j, but not related by lambda^6 over Q
     c3 = PicardCurve(Fraction(2), Fraction(4))  # j = (16-4)/16 = 3/4 too
     assert invariants(c1).j == invariants(c3).j
-    assert is_isomorphic(c1, c3) is None
-    assert is_isomorphic(c1, c3, mode="over-closure") is True
-
-
-def test_is_isomorphic_over_closure_uses_j():
-    c1 = PicardCurve(Fraction(1), Fraction(1))
-    c2 = PicardCurve(Fraction(1), Fraction(2))
-    assert is_isomorphic(c1, c2, mode="over-closure") is None
-    with pytest.raises(ValueError):
-        is_isomorphic(c1, c2, mode="nonsense")
+    assert _model(c1) != _model(c3)
 
 
 # ---------------------------------------------------------------------------
