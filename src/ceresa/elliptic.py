@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .arith import (
     IntPolynomial,
-    factorize,
     int_root,
     inv_mod,
     is_prime,
@@ -175,14 +174,14 @@ def mul(E, n: int, P: CurvePoint) -> CurvePoint:
 
 @lru_cache(maxsize=None)
 def _group_order_fp(d: int, p: int) -> int:
-    count = 1  # infinity
-    for x in range(p):
-        z = (x * x * x + d) % p
-        if z == 0:
-            count += 1
-        elif pow(z, (p - 1) // 2, p) == 1:
-            count += 2
-    return count
+    if p % 3 == 2:
+        # cubing permutes F_p, so the count is 1 + sum_z #sqrt(z + d) = p + 1
+        return p + 1
+    roots = bytearray(p)  # roots[z] = number of square roots of z in F_p
+    roots[0] = 1
+    for y in range(1, (p + 1) // 2):
+        roots[y * y % p] = 2
+    return 1 + sum([roots[(x * x * x + d) % p] for x in range(p)])
 
 
 def group_order_fp(E: WeierstrassCurveFp) -> int:
@@ -191,11 +190,23 @@ def group_order_fp(E: WeierstrassCurveFp) -> int:
 
 
 def order_fp(E: WeierstrassCurveFp, P: CurvePoint) -> int:
-    """Exact order of P in E(F_p): start from #E(F_p) and strip primes."""
+    """Exact order of P in E(F_p): start from #E(F_p) and strip primes.
+
+    #E(F_p) <= p + 1 + 2 sqrt(p) is small, so its primes come from trial
+    division."""
     if P.inf:
         return 1
     n = group_order_fp(E)
-    for q in factorize(n):
+    primes, m, q = [], n, 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        primes.append(m)
+    for q in primes:
         while n % q == 0 and mul(E, n // q, P).inf:
             n //= q
     return n

@@ -35,6 +35,8 @@ from .elliptic import (
     add,
     division_poly,
     genus1_weierstrass_d,
+    group_order_fp,
+    mul,
     on_curve,
     order_fp,
 )
@@ -207,8 +209,11 @@ def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
     and must have order exactly N (reduction is injective on prime-to-p
     torsion; the automorphism x -> wx makes every cube-root choice valid).
     Primes where no root admits a cube root carry no information and are
-    skipped.  Returns the two witness primes."""
+    skipped, and so are primes with N not dividing #E(F_p): there a realized
+    root would be a point of order N in E(F_p), which Lagrange rules out, so
+    the skip never passes over a witness.  Returns the two witness primes."""
     found = []
+    primes_of_N = [q for q in range(2, N + 1) if N % q == 0 and is_prime(q)]
     p = 3
     while len(found) < 2:
         p += 1
@@ -218,6 +223,9 @@ def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
             continue
         if h.coefficients[-1] % p == 0:
             continue
+        E = WeierstrassCurveFp(1, p)
+        if group_order_fp(E) % N:
+            continue
         roots = roots_mod_p(list(h.coefficients), p)
         if not roots:
             continue
@@ -226,17 +234,16 @@ def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
         dh_p = [i * c % p for i, c in enumerate(h.coefficients)][1:]
         if any(poly_eval(dh_p, t) % p == 0 for t in roots):
             continue
-        E = WeierstrassCurveFp(1, p)
         cube_roots = cube_root_table(p)
         realized = 0
         for t in roots:
             for x in cube_roots.get((t * t - 1) % p, []):
                 realized += 1
-                got = order_fp(E, CurvePoint(x, t))
-                if got != N:
+                P = CurvePoint(x, t)
+                if not mul(E, N, P).inf or any(mul(E, N // q, P).inf for q in primes_of_N):
                     raise InvariantViolation(
                         f"torsion locus certification failed: root {t} of "
-                        f"{h.to_str('t')} mod {p} gives order {got}, expected {N}"
+                        f"{h.to_str('t')} mod {p} gives order {order_fp(E, P)}, expected {N}"
                     )
         if realized:
             found.append(p)

@@ -17,6 +17,7 @@ import ceresa
 from ceresa import cli, picard
 from ceresa.arith import PRIMALITY_BOUND
 from ceresa.cli import canonical_json, main
+from ceresa.elliptic import INFINITY
 from ceresa.ffcert import PRIME_LIMIT
 
 
@@ -224,6 +225,8 @@ def test_enumerate_torsion(capsys):
 
 
 def test_enumerate_torsion_invariant_violation_exits_4(capsys, monkeypatch):
+    # point arithmetic that takes every point for O, so every point has order 1
+    monkeypatch.setattr(picard, "mul", lambda E, n, P: INFINITY)
     monkeypatch.setattr(picard, "order_fp", lambda E, P: 1)
     code, obj = _run_json(capsys, "enumerate-torsion", "--N-max", "4")
     assert code == 4

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import nextprime
 
-from ceresa.arith import poly_eval, rational_root, rational_roots
+from ceresa.arith import poly_eval, primes_up_to, rational_root, rational_roots
 from ceresa.elliptic import (
     INFINITY,
+    _group_order_fp,
     _x_mult_fraction,
     CurvePoint,
     Genus1Point,
@@ -33,6 +34,7 @@ from ceresa.elliptic import (
 )
 
 from genus1_oracle import genus1_add
+from modp_oracle import affine_points_brute
 
 
 def _random_points_fp(d: int, p: int, rng: random.Random, k: int) -> list[CurvePoint]:
@@ -91,10 +93,7 @@ def test_group_law_axioms_fp(d, p):
 def test_group_and_point_orders_fp(d, p):
     E = WeierstrassCurveFp(d, p)
     N = group_order_fp(E)
-    # brute force count agrees
-    brute = 1 + sum(1 for x in range(p) for y in range(p)
-                    if (y * y - x**3 - d) % p == 0)
-    assert N == brute
+    assert N == 1 + affine_points_brute(d, p)
     for x in range(p):
         for y in range(p):
             if (y * y - x**3 - d) % p == 0:
@@ -104,6 +103,14 @@ def test_group_and_point_orders_fp(d, p):
                 assert mul(E, o, P).inf
                 assert all(not mul(E, k, P).inf for k in range(1, o))
     assert order_fp(E, INFINITY) == 1
+
+
+@pytest.mark.parametrize("p", [p for p in primes_up_to(99) if p >= 5])
+def test_group_order_fp_matches_brute_force_for_every_d(p):
+    """Both classes of p mod 3, and d = 0, where the count is still
+    defined though the curve is singular."""
+    for d in range(p):
+        assert _group_order_fp(d, p) == 1 + affine_points_brute(d, p), d
 
 
 # ---------------------------------------------------------------------------

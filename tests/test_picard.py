@@ -291,7 +291,8 @@ def test_locus_roots_mod_p_match_brute_force():
 
 
 # the witness primes of every locus factor, in entry order, as (degree,
-# witnesses); frozen from the evaluate-at-every-t root search
+# witnesses); frozen from certifiers that tried every good prime, before the
+# N | #E(F_p) filter (N <= 12 from the evaluate-at-every-t root search)
 _LOCUS_WITNESSES = {
     2: [(1, (5, 7))],
     3: [(2, (31, 43))],
@@ -304,20 +305,27 @@ _LOCUS_WITNESSES = {
     10: [(24, (29, 59))],
     11: [(40, (131, 197))],
     12: [(4, (11, 23)), (4, (11, 23)), (24, (157, 397))],
+    13: [(8, (139, 151)), (48, (233, 311))],
+    14: [(12, (67, 73)), (36, (41, 83))],
+    15: [(8, (29, 59)), (8, (29, 59)), (48, (2791, 3541))],
+    16: [(64, (47, 191))],
 }
 
 
 def test_locus_witness_primes_frozen():
     got = {
         e.order: [(h.degree, _certify_locus_factor(h, e.order)) for h in e.t_minimal_polynomials]
-        for e in enumerate_torsion_locus(12)
+        for e in enumerate_torsion_locus(16)
     }
     assert got == _LOCUS_WITNESSES
 
 
 def test_locus_certifier_rejects_wrong_order():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(InvariantViolation, match="gives order 6, expected 5"):
         _certify_locus_factor(IntPolynomial((-3, 1)), 5)  # t=3 has order 6
+    # an order that properly divides N passes N*P = O and fails (N/q)*P != O
+    with pytest.raises(InvariantViolation, match="gives order 2, expected 4"):
+        _certify_locus_factor(IntPolynomial((0, 1)), 4)  # t=0 has order 2
 
 
 def test_locus_validates_input():
