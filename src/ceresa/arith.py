@@ -75,6 +75,21 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, fl in enumerate(sieve) if fl]
 
 
+def small_prime_divisors(n: int) -> list[int]:
+    """The distinct primes of n >= 1, ascending, by trial division: for small
+    n such as the group orders #E(F_p) <= p + 1 + 2 sqrt(p)."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
     if n == 0:
@@ -96,17 +111,32 @@ def power_part(n: int, k: int) -> int:
 # exact roots, residues mod p, rational text
 
 def int_root(n: int, k: int) -> int | None:
-    """The integer r with r**k == n, or None.  A negative n has a root only
-    for odd k; for even k the root returned is the nonnegative one."""
+    """The integer r with r**k == n, or None, for k >= 1.  A negative n has a
+    root only for odd k; for even k the root returned is the nonnegative one.
+    Square roots come from math.isqrt, odd roots from integer Newton."""
+    if k < 1:
+        raise ValueError(f"root index must be >= 1, not {k}")
     if n < 0:
         if k % 2 == 0:
             return None
         r = int_root(-n, k)
         return None if r is None else -r
-    from sympy import integer_nthroot
-
-    r, exact = integer_nthroot(n, k)
-    return int(r) if exact else None
+    while k % 2 == 0:
+        r = math.isqrt(n)
+        if r * r != n:
+            return None
+        n, k = r, k // 2
+    if k == 1 or n < 2:
+        return n
+    # Newton from above: 2^ceil(bits/k) > n^(1/k), and the iterates fall
+    # to the floor of the root, where the first non-decrease stops them
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k == n else None
 
 
 def rational_root(z, k: int) -> Fraction | None:

@@ -9,10 +9,11 @@ CERESA_CACHE_DIR or --cache-dir; isomorphic inputs share cache entries
 because keys use the canonical model.
 
 Exit codes: 0 success; 2 invalid or degenerate input (Delta = 0, bad
-reduction, malformed point, a prime above ffcert.PRIME_LIMIT, an integer
-at or above arith.PRIMALITY_BOUND where a prime is expected, a non-finite
-scan bound) or a file that cannot be read or written (--out, the cache
-directory, a certificate); 3 certificate search exhausted; 4 internal
+reduction, malformed point, a prime above ffcert.PRIME_LIMIT, an order
+above ffcert.TORSION_ORDER_LIMIT, an integer at or above
+arith.PRIMALITY_BOUND where a prime is expected, a non-finite scan bound)
+or a file that cannot be read or written (--out, the cache directory, a
+certificate); 3 certificate search exhausted; 4 internal
 consistency failure (failed certificate check, a violated invariant); 64
 usage error.  A closed stdout (a reader such as `head` that exits early)
 leaves the code unchanged and prints no traceback.
@@ -135,6 +136,9 @@ def _cmd_certify(params: dict) -> dict:
 
 
 def _cmd_enumerate(params: dict) -> dict:
+    if params["N_max"] > ffcert.TORSION_ORDER_LIMIT:
+        raise ValueError(f"N_max = {params['N_max']} exceeds the torsion-order "
+                         f"limit {ffcert.TORSION_ORDER_LIMIT}")
     entries = enumerate_torsion_locus(params["N_max"])
     return {
         "N_max": params["N_max"],

@@ -26,6 +26,7 @@ from .arith import (
     primitive_int_poly,
     rational_root,
     rational_roots,
+    small_prime_divisors,
 )
 
 
@@ -197,16 +198,7 @@ def order_fp(E: WeierstrassCurveFp, P: CurvePoint) -> int:
     if P.inf:
         return 1
     n = group_order_fp(E)
-    primes, m, q = [], n, 2
-    while q * q <= m:
-        if m % q == 0:
-            primes.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        primes.append(m)
-    for q in primes:
+    for q in small_prime_divisors(n):
         while n % q == 0 and mul(E, n // q, P).inf:
             n //= q
     return n

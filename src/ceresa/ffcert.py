@@ -22,13 +22,13 @@ from .arith import (
     InvariantViolation,
     Rational,
     cube_root_table,
-    factorize,
     inv_mod,
     is_prime,
     parse_rational,
     poly_mul,
     primes_up_to,
     rat_str,
+    small_prime_divisors,
 )
 from .elliptic import (
     CurvePoint,
@@ -60,6 +60,11 @@ class InvalidHint(Exception):
 # The largest prime accepted for p, v and q (and for the search bound
 # V_max): lpoly at this size takes about 2 s, and lpoly is O(p^2).
 PRIME_LIMIT = 1500
+
+# The largest --N-max of enumerate-torsion: every order up to it has been
+# enumerated and certified end to end; at N = 27 the locus certifier finds
+# no witness prime below its cap of 10 000.
+TORSION_ORDER_LIMIT = 26
 
 
 def _check_size(p: int, what: str):
@@ -421,7 +426,7 @@ def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
     for v_try in [v] if v is not None else primes:
         lift = lift_sum(ai, bi, v_try)
         n = lift.sigma_order
-        ells = [ell] if ell is not None else sorted(factorize(n))
+        ells = [ell] if ell is not None else small_prime_divisors(n)
         ells = [f for f in ells if f > 3 and f != v_try and n % f == 0]
         if v is not None and ell is not None and not ells:
             raise InvalidHint("ell does not divide sigma_order")

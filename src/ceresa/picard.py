@@ -6,6 +6,13 @@ when their j-invariants agree), construction of the genus-1 quotient's
 Weierstrass model E and the sextic twist E^Delta with its marked point Q,
 the Ceresa-cycle torsion decision (torsion iff Q is torsion), and the
 enumeration of the torsion locus on the t-line (a, b) = (2t, 1).
+
+The locus of order N is S_N(t) = g_N(t^2 - 1).  It is factored in
+w = t^2 - 1, where g_N has half the degree, and each irreducible factor h is
+lifted by Capelli's lemma: h(t^2 - 1) is irreducible exactly when alpha + 1
+is not a square in Q(alpha), alpha a root of h.  A norm of alpha + 1 that is
+not a square in Q, or a prime witness (a simple root a of h mod p with a + 1
+a non-residue), proves that; any other factor h(t^2 - 1) is factored over Q.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .arith import (
     poly_mul,
     power_part,
     primitive_int_poly,
+    rational_root,
     roots_mod_p,
 )
 from .elliptic import (
@@ -186,20 +194,93 @@ def _exact_order_division_polys(n_max: int) -> dict[int, list]:
     return f
 
 
-def _t_locus(f: list) -> IntPolynomial:
-    """The t-locus S(t) = g(t^2 - 1) of an exact-order polynomial
-    f(x) = x^r g(x^3) of y^2 = x^3 + 1, as a primitive integer polynomial.
+def _w_locus(f: list) -> IntPolynomial:
+    """The polynomial g of an exact-order polynomial f(x) = x^r g(x^3) of
+    y^2 = x^3 + 1, as a primitive integer polynomial in w = x^3.
 
-    x -> wx is an automorphism, so f has this form, and (x, t) has order N
-    for some x exactly when x^3 = t^2 - 1 is a root of g.  Since
-    g(0) = f[r] != 0, S has no root at the degenerate t = +-1."""
+    x -> omega x is an automorphism, so f has this form, and (x, t) has
+    order N for some x exactly when w = x^3 = t^2 - 1 is a root of g."""
     r = next(i for i, c in enumerate(f) if c)
     if any(c for i, c in enumerate(f[r:]) if i % 3):
         raise InvariantViolation("exact-order polynomial is not of the form x^r g(x^3)")
+    return primitive_int_poly(f[r::3])
+
+
+def _on_t_line(g: IntPolynomial) -> IntPolynomial:
+    """g(t^2 - 1), by Horner's rule in t^2 - 1.  It is primitive with a
+    positive leading coefficient when g is: w -> t^2 - 1 is injective on
+    F_p[w], so no prime divides every coefficient."""
     s: list = []
-    for c in reversed(f[r::3]):
+    for c in reversed(g.coefficients):
         s = poly_add(poly_mul(s, [-1, 0, 1]), [c])
     return primitive_int_poly(s)
+
+
+def _t_locus(f: list) -> IntPolynomial:
+    """The t-locus S(t) = g(t^2 - 1) of an exact-order polynomial
+    f(x) = x^r g(x^3) of y^2 = x^3 + 1, as a primitive integer polynomial.
+    Since g(0) = f[r] != 0, S has no root at the degenerate t = +-1."""
+    return _on_t_line(_w_locus(f))
+
+
+# The witness search for alpha + 1 not a square gives up after this many
+# simple roots a mod p with a + 1 a square or zero: a factor whose lift splits
+# has no witness at all, and must reach factor_over_q quickly.
+_SQUARE_ROOTS_BEFORE_FALLBACK = 24
+
+# The largest prime tried by the witness searches of the torsion locus.
+_LOCUS_PRIME_CAP = 10_000
+
+
+def _norm_is_square(h: IntPolynomial) -> bool:
+    """Whether N(alpha + 1) = (-1)^deg(h) h(-1) / lc(h), for alpha a root of h,
+    is a square in Q (0 counts as a square).  If alpha + 1 = beta^2 in
+    Q(alpha), this norm is N(beta)^2."""
+    norm = Fraction((-1) ** h.degree * h(-1), h.coefficients[-1])
+    return rational_root(norm, 2) is not None
+
+
+def _nonsquare_witness(h: IntPolynomial) -> tuple[int, int] | None:
+    """An odd prime p not dividing lc(h) and a simple root a of h mod p with
+    a + 1 a quadratic non-residue, for an irreducible h with root alpha.
+
+    Hensel's lemma lifts a to a root of h in Z_p, which embeds Q(alpha) in
+    Q_p; there alpha + 1 is a unit with a non-square residue, so alpha + 1 is
+    not a square in Q(alpha).  Primes are tried in ascending order; None
+    once _SQUARE_ROOTS_BEFORE_FALLBACK simple roots had a + 1 a square or
+    zero, or past _LOCUS_PRIME_CAP."""
+    coeffs = list(h.coefficients)
+    squares = 0
+    p = 2
+    while squares < _SQUARE_ROOTS_BEFORE_FALLBACK and p < _LOCUS_PRIME_CAP:
+        p += 1
+        if not is_prime(p) or coeffs[-1] % p == 0:
+            continue
+        roots = roots_mod_p(coeffs, p)
+        if not roots:
+            continue
+        dh_p = [i * c % p for i, c in enumerate(coeffs)][1:]
+        for a in roots:
+            if poly_eval(dh_p, a) % p == 0:
+                continue
+            if pow(a + 1, (p - 1) // 2, p) == p - 1:
+                return p, a
+            squares += 1
+    return None
+
+
+def _lift_to_t_line(h: IntPolynomial) -> list[IntPolynomial]:
+    """The irreducible factors over Q of h(t^2 - 1), for an irreducible h in w.
+
+    By Capelli's lemma, h(t^2 - 1) is irreducible exactly when alpha + 1 is
+    not a square in Q(alpha), for alpha a root of h.  That is proved by a norm
+    that is not a square in Q or by a prime witness (_nonsquare_witness).
+    Otherwise (alpha = -1, where a + 1 = 0 at every prime, or no witness
+    found) h(t^2 - 1) is factored."""
+    lifted = _on_t_line(h)
+    if not _norm_is_square(h) or _nonsquare_witness(h) is not None:
+        return [lifted]
+    return factor_over_q(lifted.coefficients)
 
 
 def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
@@ -217,7 +298,7 @@ def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
     p = 3
     while len(found) < 2:
         p += 1
-        if p > 10_000:
+        if p > _LOCUS_PRIME_CAP:
             raise InvariantViolation(f"no certification primes found for order {N}")
         if not is_prime(p) or (6 * N) % p == 0:
             continue
@@ -253,13 +334,16 @@ def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
 def enumerate_torsion_locus(N_max: int) -> list[TorsionLocusEntry]:
     """For each N in 2..N_max, the minimal polynomials over Q of all
     t (excluding the degenerate t = ±1) such that (x, t) has exact order N
-    on y^2 = x^3 + 1.  Every factor is certified by two-prime reduction."""
+    on y^2 = x^3 + 1.  The locus g_N(t^2 - 1) is factored in w = t^2 - 1,
+    at half the degree, and each factor is lifted to the t-line.  Every
+    factor is certified by two-prime reduction."""
     if N_max < 2:
         raise ValueError("N_max must be >= 2")
     exact = _exact_order_division_polys(N_max)
     entries = []
     for n in range(2, N_max + 1):
-        polys = factor_over_q(_t_locus(exact[n]).coefficients)
+        polys = [s for h in factor_over_q(_w_locus(exact[n]).coefficients)
+                 for s in _lift_to_t_line(h)]
         for h in polys:
             _certify_locus_factor(h, n)
         polys.sort(key=lambda q: (q.degree, q.coefficients))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import integer_nthroot, primefactors
 
 from ceresa import arith
 from ceresa.arith import (
@@ -29,6 +30,7 @@ from ceresa.arith import (
     rat_str,
     rational_roots,
     roots_mod_p,
+    small_prime_divisors,
 )
 from modp_oracle import roots_mod_p_brute
 
@@ -91,6 +93,19 @@ def test_factorize_reconstructs(n):
     assert prod == n
 
 
+@given(st.integers(min_value=1, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_small_prime_divisors_match_sympy(n):
+    assert small_prime_divisors(n) == primefactors(n)
+
+
+def test_small_prime_divisors_known():
+    assert small_prime_divisors(1) == []
+    assert small_prime_divisors(2**5 * 3**2 * 97) == [2, 3, 97]
+    assert small_prime_divisors(9973 * 9973) == [9973]
+    assert small_prime_divisors(1511) == [1511]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-10**6, 10**6).filter(bool), st.integers(1, 1000), st.integers(1, 12))
 def test_power_part_is_the_largest_kth_power_divisor(n0, m0, k):
@@ -114,6 +129,31 @@ def test_int_root_is_exact(r, k):
         assert int_root(r**k, k) == r
     if abs(r) > 1 and k > 1:
         assert int_root(r**k + 1, k) is None
+
+
+@given(st.one_of(st.integers(min_value=-10**60, max_value=10**60),
+                 st.integers(min_value=-10**12, max_value=10**12).map(lambda r: r**6),
+                 st.integers(min_value=-10**8, max_value=10**8).map(lambda r: r**5 + 1)),
+       st.integers(min_value=1, max_value=12))
+@settings(max_examples=500, deadline=None)
+def test_int_root_matches_sympy_integer_nthroot(n, k):
+    """sympy.integer_nthroot is the oracle; int_root adds the sign rule."""
+    if n < 0:
+        r, exact = integer_nthroot(-n, k)
+        want = -int(r) if exact and k % 2 else None
+    else:
+        r, exact = integer_nthroot(n, k)
+        want = int(r) if exact else None
+    assert int_root(n, k) == want
+
+
+def test_int_root_small_cases():
+    assert [int_root(n, 3) for n in (0, 1, -1, 8, -8, 9)] == [0, 1, -1, 2, -2, None]
+    assert [int_root(n, 2) for n in (0, 1, 4, 5, -4)] == [0, 1, 2, None, None]
+    assert int_root(2**600, 6) == 2**100 and int_root(2**600 + 1, 6) is None
+    assert int_root(7, 1) == 7 and int_root(-7, 1) == -7
+    with pytest.raises(ValueError):
+        int_root(8, 0)
 
 
 @given(st.integers(min_value=1, max_value=10006))

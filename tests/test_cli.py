@@ -18,7 +18,7 @@ from ceresa import cli, picard
 from ceresa.arith import PRIMALITY_BOUND
 from ceresa.cli import canonical_json, main
 from ceresa.elliptic import INFINITY
-from ceresa.ffcert import PRIME_LIMIT
+from ceresa.ffcert import PRIME_LIMIT, TORSION_ORDER_LIMIT
 
 
 def _run(capsys, *argv):
@@ -222,6 +222,17 @@ def test_enumerate_torsion(capsys):
     assert by_order[2] == ["t"]
     assert by_order[3] == ["t^2 + 3"]
     assert by_order[4] == ["t^4 + 18*t^2 - 27"]
+
+
+def test_enumerate_torsion_above_the_order_limit_exits_2(capsys, monkeypatch):
+    def no_work(N_max):
+        raise AssertionError("the limit is checked before any work")
+
+    monkeypatch.setattr(cli, "enumerate_torsion_locus", no_work)
+    n = TORSION_ORDER_LIMIT + 1
+    code, obj = _run_json(capsys, "enumerate-torsion", "--N-max", str(n))
+    assert code == 2
+    assert obj == {"error": f"N_max = {n} exceeds the torsion-order limit {TORSION_ORDER_LIMIT}"}
 
 
 def test_enumerate_torsion_invariant_violation_exits_4(capsys, monkeypatch):

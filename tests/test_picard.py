@@ -10,14 +10,26 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import nextprime
 
-from ceresa.arith import IntPolynomial, InvariantViolation, is_prime, primes_up_to, roots_mod_p
+from ceresa.arith import (
+    IntPolynomial,
+    InvariantViolation,
+    factor_over_q,
+    is_prime,
+    primes_up_to,
+    roots_mod_p,
+)
 from ceresa.elliptic import mul, on_curve
 from ceresa.picard import (
     DegenerateCurve,
     PicardCurve,
     _certify_locus_factor,
     _exact_order_division_polys,
+    _lift_to_t_line,
+    _nonsquare_witness,
+    _norm_is_square,
+    _on_t_line,
     _t_locus,
+    _w_locus,
     associated_curves,
     canonical_model,
     decide_ceresa,
@@ -26,7 +38,7 @@ from ceresa.picard import (
     enumerate_torsion_locus,
     invariants,
 )
-from modp_oracle import roots_mod_p_brute
+from modp_oracle import is_nonsquare_witness_brute, roots_mod_p_brute
 
 _rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6
@@ -270,6 +282,76 @@ def test_t_locus_rejects_a_polynomial_not_in_x_cubed():
         _t_locus([Fraction(0), Fraction(1), Fraction(1)])  # x + x^2
     with pytest.raises(InvariantViolation):
         _t_locus([Fraction(1), Fraction(0), Fraction(0), Fraction(1), Fraction(1)])
+
+
+def _sorted_polys(polys):
+    return sorted(polys, key=lambda q: (q.degree, q.coefficients))
+
+
+def test_locus_factors_match_factoring_in_t():
+    """Factoring g_N in w and lifting each factor gives the factors of
+    S_N(t) = g_N(t^2 - 1) over Q (sympy, through factor_over_q)."""
+    for n, f in _exact_order_division_polys(16).items():
+        lifted = [s for h in factor_over_q(_w_locus(f).coefficients)
+                  for s in _lift_to_t_line(h)]
+        assert _sorted_polys(lifted) == _sorted_polys(factor_over_q(_t_locus(f).coefficients)), n
+
+
+def test_lift_of_w_plus_1_is_factored():
+    h = IntPolynomial((1, 1))  # alpha = -1, so h(t^2 - 1) = t^2
+    assert _on_t_line(h) == IntPolynomial((0, 0, 1))
+    assert _norm_is_square(h)  # the norm is 0
+    assert _nonsquare_witness(h) is None  # a + 1 = 0 at every prime, and the search stops
+    assert _lift_to_t_line(h) == [IntPolynomial((0, 1))]
+
+
+def test_lift_of_w_minus_8_splits():
+    h = IntPolynomial((-8, 1))  # alpha + 1 = 9
+    assert _norm_is_square(h) and _nonsquare_witness(h) is None
+    assert _sorted_polys(_lift_to_t_line(h)) == [IntPolynomial((-3, 1)), IntPolynomial((3, 1))]
+
+
+def test_lift_splits_over_a_quadratic_field():
+    """w^2 - 4w - 4 is irreducible, and alpha + 1 = 3 +- 2 sqrt 2 = (1 +- sqrt 2)^2."""
+    h = IntPolynomial((-4, -4, 1))
+    assert factor_over_q(h.coefficients) == [h]
+    assert _norm_is_square(h) and _nonsquare_witness(h) is None
+    assert _sorted_polys(_lift_to_t_line(h)) == [IntPolynomial((-1, -2, 1)),
+                                                 IntPolynomial((-1, 2, 1))]
+
+
+def test_lift_proved_by_the_norm_alone():
+    h = IntPolynomial((4, 1))  # order 3: alpha + 1 = -3, its own norm
+    assert not _norm_is_square(h)
+    assert _lift_to_t_line(h) == [IntPolynomial((3, 0, 1))]
+
+
+def test_lift_of_order_16_proved_by_a_prime_witness():
+    g = _w_locus(_exact_order_division_polys(16)[16])
+    assert g.degree == 32 and factor_over_q(g.coefficients) == [g]
+    assert _norm_is_square(g)
+    p, a = _nonsquare_witness(g)
+    assert is_nonsquare_witness_brute(g.coefficients, p, a)
+    assert _lift_to_t_line(g) == [_on_t_line(g)]
+    assert _on_t_line(g).degree == 64
+
+
+def test_every_prime_witness_checks_by_brute_force():
+    """Each witness the search returns for a locus factor with N <= 16 is an
+    odd prime not dividing lc(h), with h(a) = 0, h'(a) != 0 and a + 1 a
+    non-residue mod p, checked by brute force.  The five factors whose lift
+    splits (orders 2, 6, 9, 12 and 15) have none; the other 17 have one."""
+    found = 0
+    for f in _exact_order_division_polys(16).values():
+        for h in factor_over_q(_w_locus(f).coefficients):
+            witness = _nonsquare_witness(h)
+            if witness is None:
+                continue
+            p, a = witness
+            found += 1
+            assert sympy.isprime(p) and p > 2 and h.coefficients[-1] % p
+            assert is_nonsquare_witness_brute(h.coefficients, p, a), (h, p, a)
+    assert found == 17
 
 
 def test_locus_certifier_returns_two_good_primes():
