@@ -13,7 +13,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 Rational = Fraction
 
@@ -34,15 +33,31 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_BOUND = 3317044064679887385961981
 
 
-@lru_cache(maxsize=None)
+def _sieve(bound: int) -> bytearray:
+    """flags[n] = 1 exactly for the primes n <= bound, for bound >= 1."""
+    flags = bytearray([1]) * (bound + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, math.isqrt(bound) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, bound + 1, i)))
+    return flags
+
+
+# Primality below this bound is one lookup in a sieve built once; it covers
+# every prime the torsion-locus witness searches try (their cap is 10 000).
+_SIEVE_BOUND = 10_000
+_PRIME_FLAGS = _sieve(_SIEVE_BOUND)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < PRIMALITY_BOUND; a larger
-    n raises ValueError naming the bound."""
-    if n < 2:
-        return False
+    """Exact primality: a sieve lookup for n <= 10 000, deterministic
+    Miller-Rabin above it, exact for n < PRIMALITY_BOUND; a larger n raises
+    ValueError naming the bound.  Nothing is cached."""
+    if n <= _SIEVE_BOUND:
+        return n >= 2 and _PRIME_FLAGS[n] == 1
     for p in _SMALL_PRIMES:
         if n % p == 0:
-            return n == p
+            return False
     if n >= PRIMALITY_BOUND:
         raise ValueError(f"{n} is too large to test for primality "
                          f"(the test is exact below {PRIMALITY_BOUND})")
@@ -67,12 +82,8 @@ def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, by sieve."""
     if bound < 2:
         return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, fl in enumerate(sieve) if fl]
+    flags = _PRIME_FLAGS if bound <= _SIEVE_BOUND else _sieve(bound)
+    return [i for i in range(bound + 1) if flags[i]]
 
 
 def small_prime_divisors(n: int) -> list[int]:
@@ -99,11 +110,32 @@ def factorize(n: int) -> dict[int, int]:
     return {int(p): int(e) for p, e in factorint(abs(n)).items()}
 
 
+# The primes below 1000, enough to trial-divide any |n| < 1000^k for its
+# k-th-power part
+_TRIAL_PRIMES = primes_up_to(1000)
+
+
 def power_part(n: int, k: int) -> int:
-    """The largest m >= 1 with m**k dividing n; n must be nonzero."""
+    """The largest m >= 1 with m**k dividing n, for n nonzero and k >= 1.
+
+    When |n| < 1000^k, a prime p with p^k | n is below 1000, so trial
+    division by the primes below 1000 is exact and needs no sympy; a larger
+    n is factored by factorize."""
+    if n == 0:
+        raise ValueError("power_part of 0")
+    n = abs(n)
+    if n >= 1000**k:
+        return math.prod(p ** (e // k) for p, e in factorize(n).items())
     m = 1
-    for p, e in factorize(n).items():
-        m *= p ** (e // k)
+    for p in _TRIAL_PRIMES:
+        if p**k > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            m *= p ** (e // k)
     return m
 
 

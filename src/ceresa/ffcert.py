@@ -4,9 +4,11 @@ Point counts of y^3 = x^4 + ax^2 + b over F_{p^i} (i <= 3), L-polynomials
 in O(p^2) from the splitting Jac(C) ~ E x P into the genus-1 quotient and
 the Prym surface, the lift-set sum sigma on the genus-1 quotient whose
 pushforward is 2D, the exact Frobenius determinant det(Fr_q - 1) on
-V = H^3(J)(2) + H^1(C)(1) (from the power sums of the Frobenius roots and
-of their triple products, with no matrices), and assembly, search, and
-independent re-validation of infinite-order certificates.
+V = H^3(J)(2) + H^1(C)(1) (from the pairing (r, q/r) of the Frobenius roots
+of L_E and L_P: 12 of the 20 triple products are q r, and power sums give
+the other 8, with no matrices), and assembly, search, and independent
+re-validation of infinite-order certificates.  The search lifts only at
+primes v where #E(F_v), a multiple of sigma_order, has a usable ell.
 """
 
 from __future__ import annotations
@@ -236,8 +238,9 @@ def lift_sum(a, b, v: int) -> LiftSumResult:
 
     where pi(x, y) = (x^2, y) on C(F_v) and the lift set is the set of
     non-branch image points.  By the pairing of (x, y) with (-x, y),
-    2D = pi^*(sigma) in J(F_v).  Orders are taken on the Weierstrass
-    model y^2 = x^3 + 16(a^2 - 4b)."""
+    2D = pi^*(sigma) in J(F_v).  The lift set is summed once and the sum
+    doubled.  Orders are taken on the Weierstrass model
+    y^2 = x^3 + 16(a^2 - 4b), so sigma_order divides its #E(F_v)."""
     ai, bi, delta = _good_int_model(a, b)
     _check_good(v, delta, "v")
     av, bv = ai % v, bi % v
@@ -253,12 +256,11 @@ def lift_sum(a, b, v: int) -> LiftSumResult:
     d_e = genus1_weierstrass_d(av, bv) % v
     Ew = WeierstrassCurveFp(d_e, v)
     total = CurvePoint.infinity()
+    for (x, y) in lift:
+        total = add(Ew, total, genus1_to_weierstrass(av, bv, Genus1Point(x, y), v))
+    total = add(Ew, total, total)
     for r in ram:
         total = add(Ew, total, genus1_to_weierstrass(av, bv, r, v))
-    for (x, y) in lift:
-        w = genus1_to_weierstrass(av, bv, Genus1Point(x, y), v)
-        total = add(Ew, total, w)
-        total = add(Ew, total, w)
 
     sigma = weierstrass_to_genus1(av, bv, total, v)
     if not sigma.inf and not genus1_on_curve(av, bv, sigma, v):
@@ -285,6 +287,18 @@ def _exact_div(n, d: int, what: str):
     return quotient
 
 
+def _power_sums(cs, n: int) -> list:
+    """s_0 .. s_n, the power sums of the roots of T^d L(1/T), for the
+    coefficients cs = (1, c_1, .., c_d) of L: by Newton's identities
+    s_k = -(c_1 s_(k-1) + .. + c_(k-1) s_1) - k c_k, with c_k = 0 past d."""
+    d = len(cs) - 1
+    s = [d]
+    for k in range(1, n + 1):
+        acc = -sum(cs[j] * s[k - j] for j in range(1, min(k - 1, d) + 1))
+        s.append(acc - k * cs[k] if k <= d else acc)
+    return s
+
+
 def _elementary_from_power_sums(s: list, n: int) -> list:
     """e_0 .. e_n of n numbers from their power sums s[1..n], by Newton's
     identities k e_k = sum_{j=1..k} (-1)^(j-1) e_(k-j) s_j."""
@@ -306,18 +320,26 @@ def _char_value(e: list, c: int) -> int:
 
 def frobenius_det(a, b, q: int, ell: int) -> FrobeniusDetResult:
     """det(Fr_q - 1) on V = H^3(J)(2) + H^1(C)(1), computed exactly from the
-    Frobenius characteristic polynomial chi on H^1 (reciprocal of L_C) with
-    no matrices.  The eigenvalues on H^3(J) = wedge^3 H^1 are the 20 triple
-    products of the roots of chi; their power sums are
-    P_m = (s_m^3 - 3 s_m s_2m + 2 s_3m) / 6, where s_k are the power sums
-    of the roots, and Newton's identities turn P_1 .. P_20 into their
-    characteristic polynomial chi_3.  Then
+    L-polynomial factors L_E and L_P with no matrices.
 
-        det_value = chi(q) / q^6 * chi_3(q^2) / q^40
+    The six Frobenius roots on H^1 pair up as (r, q/r): one pair from L_E,
+    two from L_P.  Of the 20 triple products (the roots on H^3(J)), the 12
+    that contain a whole pair are q r, each root r twice, and the other 8
+    take one root from each pair.  So chi_3 = chi_8 * prod_r (T - q r)^2,
+    where chi_8, of those 8 products, has the power sums
 
-    and det_untwisted = chi(1) * chi_3(1) is the same product without the
-    Tate twists.  unit_mod_ell tests that both the numerator and the
-    denominator of det_value are coprime to ell."""
+        p_k = s^E_k (s^P_k^2 - s^P_2k - 4 q^k) / 2
+
+    from the power sums s^E, s^P of the roots of L_E and L_P, and Newton's
+    identities give chi_8 from p_1 .. p_8.  With chi the characteristic
+    polynomial on H^1 (reciprocal of L_C),
+
+        det_value = chi(q) / q^6 * chi_3(q^2) / q^40,
+        chi_3(q^2) = chi_8(q^2) q^12 chi(q)^2,
+
+    and det_untwisted = chi(1) * chi_3(1), with chi_3(1) = chi_8(1) L_C(q)^2,
+    is the same product without the Tate twists.  unit_mod_ell tests that
+    both the numerator and the denominator of det_value are coprime to ell."""
     if not is_prime(ell):
         raise ValueError("ell must be prime")
     if ell <= 3:
@@ -325,22 +347,19 @@ def frobenius_det(a, b, q: int, ell: int) -> FrobeniusDetResult:
     if ell == q:
         raise ValueError("ell must differ from q")
     _check_size(q, "q")
-    cs = lpoly(a, b, q).L_C.coefficients
-    e = [(-1) ** k * c for k, c in enumerate(cs)]
-    # power sums s_1 .. s_60 of the six roots (e_k = 0 beyond k = 6)
-    s = [6]
-    for k in range(1, 61):
-        acc = sum((-1) ** (j - 1) * e[j] * s[k - j] for j in range(1, min(k - 1, 6) + 1))
-        s.append(acc + ((-1) ** (k - 1) * k * e[k] if k <= 6 else 0))
-    P = [20] + [_exact_div(s[m] ** 3 - 3 * s[m] * s[2 * m] + 2 * s[3 * m], 6,
-                           f"Newton step for P_{m}") for m in range(1, 21)]
-    e3 = _elementary_from_power_sums(P, 20)
+    rec = lpoly(a, b, q)
+    sE = _power_sums(rec.L_E.coefficients, 8)
+    sP = _power_sums(rec.L_P.coefficients, 16)
+    p8 = [8] + [sE[k] * _exact_div(sP[k] ** 2 - sP[2 * k] - 4 * q**k, 2,
+                                   f"halving for p_{k}") for k in range(1, 9)]
+    e8 = _elementary_from_power_sums(p8, 8)
 
-    det6 = _char_value(e, q)
-    det20 = _char_value(e3, q * q)
+    L_C = rec.L_C
+    det6 = sum(c * q ** (6 - k) for k, c in enumerate(L_C.coefficients))  # chi(q)
+    det20 = _char_value(e8, q * q) * q**12 * det6**2
     det_value = Fraction(det6, q**6) * Fraction(det20, q**40)
 
-    det_untwisted = _char_value(e, 1) * _char_value(e3, 1)
+    det_untwisted = L_C(1) * _char_value(e8, 1) * L_C(q) ** 2
 
     unit = det_value != 0 and det_value.numerator % ell != 0 and det_value.denominator % ell != 0
     return FrobeniusDetResult(q, ell, det_value, unit, det_untwisted)
@@ -400,6 +419,18 @@ def _witness_failure(delta: int, v: int | None = None, ell: int | None = None,
     return None
 
 
+def _ell_can_divide(ai: int, bi: int, v: int, ell: int | None) -> bool:
+    """Whether some candidate ell can divide sigma_order at the good prime v:
+    sigma_order divides #E(F_v) for E: y^2 = x^3 + 16(a^2 - 4b), so the
+    candidates are the hinted ell, or else the primes of #E(F_v) above 3
+    and other than v."""
+    d_e = genus1_weierstrass_d(ai % v, bi % v) % v
+    n = group_order_fp(WeierstrassCurveFp(d_e, v))
+    if ell is not None:
+        return ell != v and n % ell == 0
+    return any(f > 3 and f != v for f in small_prime_divisors(n))
+
+
 def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
                      q: int | None = None, V_max: int = 200) -> InfinitudeCertificate:
     """An independently checkable witness that the Ceresa cycle of
@@ -409,9 +440,12 @@ def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
 
     With hints, each is validated and the failing check is named in
     InvalidHint; unhinted slots are searched in ascending lexicographic
-    (v, ell, q) order up to V_max.  Raises NoCertificateFound when the
-    search is exhausted — which is NOT a proof of torsion.  A v, q or
-    V_max above PRIME_LIMIT raises ValueError naming it."""
+    (v, ell, q) order up to V_max.  A searched v where no candidate ell
+    divides #E(F_v), a multiple of sigma_order, is skipped before its lift
+    sum: no ell could come from it, so the order and result are unchanged.
+    Raises NoCertificateFound when the search is exhausted — which is NOT a
+    proof of torsion.  A v, q or V_max above PRIME_LIMIT raises ValueError
+    naming it."""
     for value, what in ((v, "v"), (q, "q"), (V_max, "V_max")):
         if value is not None:
             _check_size(value, what)
@@ -424,6 +458,8 @@ def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
     hinted = v is not None and ell is not None and q is not None
     primes = _good_primes(V_max, delta)
     for v_try in [v] if v is not None else primes:
+        if v is None and not _ell_can_divide(ai, bi, v_try, ell):
+            continue
         lift = lift_sum(ai, bi, v_try)
         n = lift.sigma_order
         ells = [ell] if ell is not None else small_prime_divisors(n)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import integer_nthroot, primefactors
+from sympy import factorint, integer_nthroot, primefactors
 
 from ceresa import arith
 from ceresa.arith import (
@@ -114,6 +114,40 @@ def test_power_part_is_the_largest_kth_power_divisor(n0, m0, k):
     assert n % m**k == 0 and m % m0 == 0
     for p in factorize(n):
         assert n % (m * p) ** k != 0
+
+
+def _power_part_by_factorint(n, k):
+    m = 1
+    for p, e in factorint(abs(n)).items():
+        m *= p ** (e // k)
+    return m
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 12])
+@settings(max_examples=60, deadline=None)
+@given(m0=st.integers(1, 3000), c=st.integers(1, 10**6), sign=st.sampled_from([1, -1]))
+def test_power_part_matches_factorint_on_both_sides_of_the_trial_bound(k, m0, c, sign):
+    """Below 1000^k power_part trial-divides and never calls factorize;
+    at or above it, it factors.  Either way it agrees with sympy."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
+        for n in (sign * m0**k * c, sign * (1000**k - 1), sign * 1000**k, sign * 997**k, 1009**k):
+            calls.clear()
+            assert power_part(n, k) == _power_part_by_factorint(n, k), n
+            assert bool(calls) == (abs(n) >= 1000**k), n
+
+
+def test_power_part_of_zero_is_an_error():
+    for k in (1, 2, 6, 12):
+        with pytest.raises(ValueError):
+            power_part(0, k)
+
+
+def test_is_prime_has_no_cache_and_matches_the_sieve_across_its_bound():
+    assert not hasattr(is_prime, "cache_info")
+    flags = set(primes_up_to(20_000))
+    assert all(is_prime(n) == (n in flags) for n in range(9_000, 11_000))
 
 
 # ---------------------------------------------------------------------------

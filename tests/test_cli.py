@@ -405,6 +405,34 @@ def test_closed_stdout_keeps_exit_code(tmp_path, argv, code):
     assert proc.returncode == code
 
 
+_SYMPY_FREE_SCRIPT = """
+import sys
+from ceresa.cli import main
+cert = sys.argv[1]
+for argv in (["certify", "--a", "4", "--b", "1", "--out", cert], ["check-cert", cert],
+             ["lpoly", "--a", "1", "--b", "1", "--p", "151"],
+             ["frobdet", "--a", "1", "--b", "1", "--q", "11", "--ell", "7"],
+             ["decide", "--a", "1", "--b", "1"],
+             ["enumerate-torsion", "--N-max", "4"]):
+    code = main(argv)
+    print(argv[0], code, "sympy" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_finite_field_commands_do_not_import_sympy(tmp_path):
+    """The finite-field commands on small inputs finish without sympy in
+    sys.modules; the torsion locus, run last, still loads it."""
+    src = str(Path(ceresa.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "CERESA_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SYMPY_FREE_SCRIPT, str(tmp_path / "cert.txt")],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "certify 0 False", "check-cert 0 False", "lpoly 0 False", "frobdet 0 False",
+        "decide 0 False", "enumerate-torsion 0 True"]
+
+
 def test_usage_errors_exit_64(capsys):
     assert _run(capsys, "decide", "--a", "1")[0] == 64  # missing --b
     assert _run(capsys, "decide", "--a", "1.5", "--b", "1")[0] == 64

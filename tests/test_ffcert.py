@@ -10,6 +10,7 @@ instead of power sums, brute-force counts over a handwritten extension
 field instead of the Prym splitting) so that shared bugs cannot hide.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -27,6 +28,7 @@ from ceresa.ffcert import (
     BadReduction,
     InvalidHint,
     NoCertificateFound,
+    certificate_text,
     certify_infinite,
     count_curve,
     frobenius_det,
@@ -36,7 +38,9 @@ from ceresa.ffcert import (
     serialize_certificate,
     validate_certificate,
 )
+from ceresa.picard import decide_ceresa_t
 
+from certify_oracle import search_every_v
 from genus1_oracle import genus1_add
 from jacobian_oracle import two_d_matches_sigma
 from matrix_oracle import frobenius_det_by_matrices
@@ -509,16 +513,42 @@ def test_frobdet_matches_matrix_oracle_hypothesis(a, b, q, ell):
     _frobdet_matches_matrices(a, b, q, [ell])
 
 
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_frobdet_matches_matrix_oracle_on_every_curve_mod_q(q):
+    """Every good (a, b) mod q, the supersingular E at q = 2 mod 3 included:
+    the pair identity agrees with the 20x20 third compound."""
+    ell = 7 if q == 5 else 5
+    by_matrices, L_Es = {}, set()
+    for a in range(q):
+        for b in range(1, q):
+            if not _good(a, b, q):
+                continue
+            rec = frobenius_det(a, b, q, ell)
+            L = lpoly(a, b, q)
+            L_Es.add(L.L_E.coefficients)
+            if L.L_C.coefficients not in by_matrices:
+                by_matrices[L.L_C.coefficients] = frobenius_det_by_matrices(L.L_C.coefficients, q, ell)
+            assert (rec.det_value, rec.det_untwisted, rec.unit_mod_ell) == \
+                by_matrices[L.L_C.coefficients], (a, b)
+    assert (L_Es == {(1, 0, q)}) == (q % 3 == 2)
+
+
 def test_frobdet_non_integral_newton_step_is_an_invariant_violation(monkeypatch, capsys):
-    """Integral L_C coefficients always give integral Newton steps; a
-    corrupted record that does not must stop the computation (exit 4)."""
-    coefficients = (1, Fraction(1, 2), 0, 0, 0, 0, 1331)
-    fake = SimpleNamespace(L_C=SimpleNamespace(coefficients=coefficients))
-    monkeypatch.setattr(ffcert, "_lpoly_cached", lambda av, bv, p: fake)
-    with pytest.raises(InvariantViolation, match="Newton step for P_5 is not integral"):
+    """Integral L_E and L_P coefficients always give an integral halving and
+    integral Newton steps; a corrupted record that does not must stop the
+    computation (exit 4)."""
+    real = lpoly(1, 1, 11)
+    bad_E = SimpleNamespace(coefficients=(1, Fraction(1, 2), 11))
+    monkeypatch.setattr(ffcert, "_lpoly_cached", lambda av, bv, p: replace(real, L_E=bad_E))
+    with pytest.raises(InvariantViolation, match="Newton step for e_2 is not integral"):
         frobenius_det(1, 1, 11, 7)
     assert main(["frobdet", "--a", "1", "--b", "1", "--q", "11", "--ell", "7"]) == 4
     assert "Newton step" in capsys.readouterr().out
+    # s^P_1^2 - s^P_2 - 4q = 2 a2 - 4q is odd for a2 = 1/2
+    bad_P = SimpleNamespace(coefficients=(1, 0, Fraction(1, 2), 0, 121))
+    monkeypatch.setattr(ffcert, "_lpoly_cached", lambda av, bv, p: replace(real, L_P=bad_P))
+    with pytest.raises(InvariantViolation, match="halving for p_1 is not integral"):
+        frobenius_det(1, 1, 11, 7)
     # two numbers with power sums 1, 0 would have e_2 = 1/2
     with pytest.raises(InvariantViolation, match="Newton step for e_2 is not integral"):
         ffcert._elementary_from_power_sums([2, 1, 0], 2)
@@ -693,3 +723,53 @@ def test_certify_partial_hints():
     assert cert.ell == 5 and cert.v == 29 and cert.q == 7
     cert_v = certify_infinite(4, 1, v=29)
     assert (cert_v.v, cert_v.ell, cert_v.q) == (29, 5, 7)
+
+
+# ---------------------------------------------------------------------------
+# the certificate search skips v where no ell can divide sigma_order
+
+def _infinite_t_box(B):
+    box = {Fraction(m, n) for n in range(1, B + 1) for m in range(-B, B + 1)}
+    return sorted(t for t in box - {1, -1} if decide_ceresa_t(t).status == "infinite")
+
+
+def test_certify_search_matches_lifting_at_every_v():
+    """Over the t-box with B = 8, and for (4, 1) with ell hinted, the search
+    finds the certificate that lifting at every good v finds."""
+    cases = [(2 * t, 1, None) for t in _infinite_t_box(8)] + [(4, 1, ell) for ell in (5, 7, 11)]
+    for a, b, ell in cases:
+        expected = search_every_v(a, b, ell)
+        try:
+            cert = certify_infinite(a, b, ell=ell)
+        except NoCertificateFound:
+            assert expected is None, (a, b, ell)
+            continue
+        assert serialize_certificate(cert) == certificate_text(expected), (a, b, ell)
+
+
+def test_certify_search_never_lifts_where_e_has_order_v_plus_1(monkeypatch):
+    """At v = 5, 11, 17, 23 the order #E(F_v) = v + 1 is 6, 12, 18 or 24:
+    no ell > 3 divides it, so a search never lifts there; a hinted v is
+    still lifted."""
+    lifted = []
+
+    def counting_lift_sum(a, b, v):
+        lifted.append(v)
+        return lift_sum(a, b, v)
+
+    monkeypatch.setattr(ffcert, "lift_sum", counting_lift_sum)
+    witnesses = {certify_infinite(2 * t, 1).v for t in _infinite_t_box(4)}
+    assert max(witnesses) > 23 and lifted
+    assert not {5, 11, 17, 23} & set(lifted)
+    lifted.clear()
+    with pytest.raises(NoCertificateFound):
+        certify_infinite(4, 1, v=5)
+    assert lifted == [5]
+
+
+def test_certify_hint_that_cannot_divide_and_exhausted_searches_exit_codes(capsys):
+    code = main(["certify", "--a", "4", "--b", "1", "--v", "29", "--ell", "7", "--q", "11"])
+    assert code == 2 and "ell does not divide sigma_order" in capsys.readouterr().out
+    for a in ("11/8", "-11/8"):  # t = 11/16 and -11/16
+        assert main(["certify", f"--a={a}", "--b=1"]) == 3
+        assert "does not prove torsion" in capsys.readouterr().out
