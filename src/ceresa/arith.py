@@ -252,31 +252,24 @@ def poly_eval(f: list, x):
     return acc
 
 
-def poly_divmod(f: list, g: list) -> tuple[list, list]:
-    """Quotient and remainder in Q[x] (coefficients become Fractions)."""
+def poly_div_exact(f: list[int], g: list[int]) -> list[int]:
+    """The quotient f / g in Z[x], for integer f and g != 0; ValueError
+    unless g divides f in Z[x].  For a primitive g that is the same as
+    dividing in Q[x] (Gauss's lemma)."""
+    f, g = poly_trim(f), poly_trim(g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = [Fraction(a) for a in f]
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    lead = Fraction(g[-1])
-    while len(f) >= len(g) and poly_trim(f):
-        f = poly_trim(f)
-        if len(f) < len(g):
-            break
-        k = len(f) - len(g)
-        coef = f[-1] / lead
+    q = [0] * max(0, len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        coef, r = divmod(f[k + len(g) - 1], g[-1])
+        if r:
+            raise ValueError("polynomial division is not exact")
         q[k] = coef
         for i, b in enumerate(g):
             f[k + i] -= coef * b
-        f.pop()
-    return poly_trim(q), poly_trim(f)
-
-
-def poly_div_exact(f: list, g: list) -> list:
-    q, r = poly_divmod(f, g)
-    if r:
+    if any(f):
         raise ValueError("polynomial division is not exact")
-    return q
+    return poly_trim(q)
 
 
 def _poly_rem_mod_p(f: list[int], g: list[int], p: int) -> list[int]:

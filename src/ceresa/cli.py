@@ -10,7 +10,7 @@ because keys use the canonical model.
 
 Exit codes: 0 success; 2 invalid or degenerate input (Delta = 0, bad
 reduction, malformed point, a prime above ffcert.PRIME_LIMIT, an order
-above ffcert.TORSION_ORDER_LIMIT, an integer at or above
+above picard.TORSION_ORDER_LIMIT, an integer at or above
 arith.PRIMALITY_BOUND where a prime is expected, a non-finite scan bound)
 or a file that cannot be read or written (--out, the cache directory, a
 certificate); 3 certificate search exhausted; 4 internal
@@ -136,9 +136,6 @@ def _cmd_certify(params: dict) -> dict:
 
 
 def _cmd_enumerate(params: dict) -> dict:
-    if params["N_max"] > ffcert.TORSION_ORDER_LIMIT:
-        raise ValueError(f"N_max = {params['N_max']} exceeds the torsion-order "
-                         f"limit {ffcert.TORSION_ORDER_LIMIT}")
     entries = enumerate_torsion_locus(params["N_max"])
     return {
         "N_max": params["N_max"],
@@ -170,17 +167,11 @@ def _cmd_height(params: dict) -> dict:
     }
 
 
-def _scan_bound(params: dict) -> float:
-    """`scan --bound`, +inf when absent; a given bound must be finite, as
-    it goes into the cache key and the JSON output."""
-    bound = params.get("bound")
+def _cmd_scan(params: dict) -> dict:
+    bound = params.get("bound")  # a given bound goes into the JSON output
     if bound is not None and not math.isfinite(bound):
         raise ValueError("bound must be finite")
-    return math.inf if bound is None else bound
-
-
-def _cmd_scan(params: dict) -> dict:
-    rows = northcott_scan(params["B"], _scan_bound(params))
+    rows = northcott_scan(params["B"], math.inf if bound is None else bound)
     out_rows = []
     for row in rows:
         r = {
@@ -193,8 +184,8 @@ def _cmd_scan(params: dict) -> dict:
             r["q_order"] = row.verdict.q_order
         out_rows.append(r)
     result = {"B": params["B"], "rows": out_rows}
-    if params.get("bound") is not None:
-        result["bound"] = params["bound"]
+    if bound is not None:
+        result["bound"] = bound
     return result
 
 
@@ -248,23 +239,22 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 # cache
 
-def _cache_key(config: CliConfig) -> str:
+def _cache_key(config: CliConfig) -> str | None:
     params = dict(config.parameters)
-    if config.command == "count":
-        # the computation lives over F_p: key on the reduced coefficients
-        params["a"], params["b"] = _count_coefficients(params)
-    elif config.command == "scan":
-        _scan_bound(params)  # a non-finite bound has no JSON key
-    elif "a" in params and "b" in params:
-        # isomorphic inputs share entries: replace (a, b) by the canonical model
-        ca, cb = canonical_model(params["a"], params["b"])
-        params["a"], params["b"] = ca, cb
-    for k, val in params.items():
-        if isinstance(val, Fraction):
-            params[k] = rat_str(val)
-    return canonical_json(
-        {"tool_version": __version__, "command": config.command, "params": params}
-    )
+    try:
+        if config.command == "count":
+            # the computation lives over F_p: key on the reduced coefficients
+            params["a"], params["b"] = _count_coefficients(params)
+        elif "a" in params and "b" in params:
+            # isomorphic inputs share entries: replace (a, b) by the canonical model
+            params["a"], params["b"] = canonical_model(params["a"], params["b"])
+        for k, val in params.items():
+            if isinstance(val, Fraction):
+                params[k] = rat_str(val)
+        return canonical_json(
+            {"tool_version": __version__, "command": config.command, "params": params})
+    except (DegenerateCurve, ValueError):
+        return None  # no key (Delta = 0, a non-prime p, a non-finite bound): run uncached
 
 
 def _cache_lookup(cache_dir: str, key: str) -> str | None:
@@ -319,6 +309,19 @@ def _print_table(result: dict, stream):
             print(f"{k}: {fmt(v)}", file=stream)
 
 
+def _render(config: CliConfig, payload: str) -> tuple[str, str | None]:
+    """The stdout text of a result payload and, for `certify --out`, its
+    certificate text.  A payload of the wrong shape raises AttributeError,
+    KeyError or TypeError."""
+    result = json.loads(payload)
+    cert = certificate_text(result) if config.command == "certify" and config.out_file else None
+    if config.output == "json":
+        return payload + "\n", cert
+    table = io.StringIO()
+    _print_table(result, table)
+    return table.getvalue(), cert
+
+
 def check_certificate(path: str) -> int:
     """Validate a serialized certificate file; exit 0 iff fully valid."""
     try:
@@ -333,36 +336,33 @@ def check_certificate(path: str) -> int:
 def run(config: CliConfig) -> int:
     """Dispatch a parsed command; prints the result and returns the exit code."""
     cache_dir = config.cache_path
-    payload: str | None = None
-    key = None
+    rendered = None
     try:
         if config.command == "check-cert":
             return check_certificate(config.parameters["path"])
-        impl = _COMMANDS[config.command]
-        if cache_dir is not None:
-            key = _cache_key(config)
-            payload = _cache_lookup(cache_dir, key)
-        if payload is None:
-            result = impl(config.parameters)
-            payload = canonical_json(result)
-            if cache_dir is not None:
+        key = None if cache_dir is None else _cache_key(config)
+        payload = None if key is None else _cache_lookup(cache_dir, key)
+        if payload is not None:
+            try:
+                rendered = _render(config, payload)
+            except (AttributeError, KeyError, TypeError):
+                pass  # a corrupt entry: recomputed and overwritten below
+        if rendered is None:
+            payload = canonical_json(_COMMANDS[config.command](config.parameters))
+            rendered = _render(config, payload)
+            if key is not None:
                 _cache_store(cache_dir, key, payload)
-        result = json.loads(payload)
-        if config.command == "certify" and config.out_file:
+        text, cert = rendered
+        if cert is not None:
             with open(config.out_file, "w", encoding="utf-8") as fh:
-                fh.write(certificate_text(result))
+                fh.write(cert)
     except (DegenerateCurve, BadReduction, InvalidHint, ValueError, OSError) as e:
         return _fail(config, str(e), 2)
     except NoCertificateFound as e:
         return _fail(config, str(e), 3)
     except InvariantViolation as e:
         return _fail(config, str(e), 4)
-
-    if config.output == "json":
-        return _emit(payload + "\n", 0)
-    table = io.StringIO()
-    _print_table(result, table)
-    return _emit(table.getvalue(), 0)
+    return _emit(text, 0)
 
 
 def _fail(config: CliConfig, message: str, code: int) -> int:

@@ -173,7 +173,7 @@ def mul(E, n: int, P: CurvePoint) -> CurvePoint:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _group_order_fp(d: int, p: int) -> int:
     if p % 3 == 2:
         # cubing permutes F_p, so the count is 1 + sum_z #sqrt(z + d) = p + 1

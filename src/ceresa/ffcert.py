@@ -63,11 +63,6 @@ class InvalidHint(Exception):
 # V_max): lpoly at this size takes about 2 s, and lpoly is O(p^2).
 PRIME_LIMIT = 1500
 
-# The largest --N-max of enumerate-torsion: every order up to it has been
-# enumerated and certified end to end; at N = 27 the locus certifier finds
-# no witness prime below its cap of 10 000.
-TORSION_ORDER_LIMIT = 26
-
 
 def _check_size(p: int, what: str):
     if p > PRIME_LIMIT:
@@ -182,7 +177,7 @@ def _check_good(p: int, delta: int, what: str = "p"):
         raise BadReduction(f"bad reduction at {p}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _lpoly_cached(av: int, bv: int, p: int) -> LPolyRecord:
     """L_C = L_E * L_P for the curve with coefficients reduced mod p, so
     that curves congruent mod p share the entry.  Jac(C) is isogenous to

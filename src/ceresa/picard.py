@@ -26,15 +26,16 @@ from .arith import (
     InvariantViolation,
     cube_root_table,
     factor_over_q,
-    is_prime,
     poly_add,
     poly_div_exact,
     poly_eval,
     poly_mul,
     power_part,
+    primes_up_to,
     primitive_int_poly,
     rational_root,
     roots_mod_p,
+    small_prime_divisors,
 )
 from .elliptic import (
     CurvePoint,
@@ -103,10 +104,7 @@ class CeresaVerdict:
 
 def invariants(c: PicardCurve) -> PicardInvariants:
     """Delta = 16b(a^2 - 4b) and j = (4b - a^2)/4b, both exact."""
-    delta = discriminant(c.a, c.b)
-    if delta == 0:
-        raise DegenerateCurve("degenerate: Delta=0")
-    return PicardInvariants(delta, (4 * c.b - c.a**2) / (4 * c.b))
+    return PicardInvariants(discriminant(c.a, c.b), (4 * c.b - c.a**2) / (4 * c.b))
 
 
 def associated_curves(c: PicardCurve) -> AssociatedCurves:
@@ -180,17 +178,18 @@ class TorsionLocusEntry:
     t_minimal_polynomials: tuple[IntPolynomial, ...]
 
 
-def _exact_order_division_polys(n_max: int) -> dict[int, list]:
+def _exact_order_division_polys(n_max: int) -> dict[int, list[int]]:
     """f_N with roots exactly the x-coordinates of exact-order-N points of
-    y^2 = x^3 + 1, by exact division of division polynomials."""
+    y^2 = x^3 + 1, by exact division of division polynomials in Z[x]: each
+    f_N is kept primitive, so every division is exact (Gauss's lemma)."""
     E1 = WeierstrassCurveQ(Fraction(1))
-    f: dict[int, list] = {}
+    f: dict[int, list[int]] = {}
     for n in range(2, n_max + 1):
-        div_n = [Fraction(c) for c in division_poly(E1, n).coefficients]
+        div_n = list(division_poly(E1, n).coefficients)
         for m in range(2, n):
             if n % m == 0:
                 div_n = poly_div_exact(div_n, f[m])
-        f[n] = div_n
+        f[n] = list(primitive_int_poly(div_n).coefficients)
     return f
 
 
@@ -216,20 +215,30 @@ def _on_t_line(g: IntPolynomial) -> IntPolynomial:
     return primitive_int_poly(s)
 
 
-def _t_locus(f: list) -> IntPolynomial:
-    """The t-locus S(t) = g(t^2 - 1) of an exact-order polynomial
-    f(x) = x^r g(x^3) of y^2 = x^3 + 1, as a primitive integer polynomial.
-    Since g(0) = f[r] != 0, S has no root at the degenerate t = +-1."""
-    return _on_t_line(_w_locus(f))
-
-
 # The witness search for alpha + 1 not a square gives up after this many
 # simple roots a mod p with a + 1 a square or zero: a factor whose lift splits
 # has no witness at all, and must reach factor_over_q quickly.
 _SQUARE_ROOTS_BEFORE_FALLBACK = 24
 
-# The largest prime tried by the witness searches of the torsion locus.
+# The largest prime tried by the witness searches of the torsion locus, and
+# the primes both searches walk, in ascending order.
 _LOCUS_PRIME_CAP = 10_000
+_LOCUS_PRIMES = primes_up_to(_LOCUS_PRIME_CAP)
+
+# The largest order enumerate_torsion_locus accepts: every order up to it has
+# been enumerated and certified end to end; at N = 27 the locus certifier
+# finds no witness prime below _LOCUS_PRIME_CAP.
+TORSION_ORDER_LIMIT = 26
+
+
+def _locus_roots_mod_p(h: IntPolynomial, p: int) -> tuple[list[int], list[int]]:
+    """The roots of h mod p and those of them that are simple, which lift to
+    roots of h in Z_p (Hensel's lemma); none at all when p divides lc(h)."""
+    if h.coefficients[-1] % p == 0:
+        return [], []
+    roots = roots_mod_p(list(h.coefficients), p)
+    dh_p = [i * c % p for i, c in enumerate(h.coefficients)][1:]
+    return roots, [a for a in roots if poly_eval(dh_p, a) % p]
 
 
 def _norm_is_square(h: IntPolynomial) -> bool:
@@ -249,20 +258,11 @@ def _nonsquare_witness(h: IntPolynomial) -> tuple[int, int] | None:
     not a square in Q(alpha).  Primes are tried in ascending order; None
     once _SQUARE_ROOTS_BEFORE_FALLBACK simple roots had a + 1 a square or
     zero, or past _LOCUS_PRIME_CAP."""
-    coeffs = list(h.coefficients)
     squares = 0
-    p = 2
-    while squares < _SQUARE_ROOTS_BEFORE_FALLBACK and p < _LOCUS_PRIME_CAP:
-        p += 1
-        if not is_prime(p) or coeffs[-1] % p == 0:
-            continue
-        roots = roots_mod_p(coeffs, p)
-        if not roots:
-            continue
-        dh_p = [i * c % p for i, c in enumerate(coeffs)][1:]
-        for a in roots:
-            if poly_eval(dh_p, a) % p == 0:
-                continue
+    for p in _LOCUS_PRIMES[1:]:
+        if squares >= _SQUARE_ROOTS_BEFORE_FALLBACK:
+            break
+        for a in _locus_roots_mod_p(h, p)[1]:
             if pow(a + 1, (p - 1) // 2, p) == p - 1:
                 return p, a
             squares += 1
@@ -294,26 +294,16 @@ def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
     root would be a point of order N in E(F_p), which Lagrange rules out, so
     the skip never passes over a witness.  Returns the two witness primes."""
     found = []
-    primes_of_N = [q for q in range(2, N + 1) if N % q == 0 and is_prime(q)]
-    p = 3
-    while len(found) < 2:
-        p += 1
-        if p > _LOCUS_PRIME_CAP:
-            raise InvariantViolation(f"no certification primes found for order {N}")
-        if not is_prime(p) or (6 * N) % p == 0:
-            continue
-        if h.coefficients[-1] % p == 0:
+    primes_of_N = small_prime_divisors(N)
+    for p in _LOCUS_PRIMES:
+        if (6 * N) % p == 0:
             continue
         E = WeierstrassCurveFp(1, p)
         if group_order_fp(E) % N:
             continue
-        roots = roots_mod_p(list(h.coefficients), p)
-        if not roots:
-            continue
-        # only simple roots mod p are guaranteed to lift to roots of h, so a
-        # prime where h picks up a repeated root is not a valid witness
-        dh_p = [i * c % p for i, c in enumerate(h.coefficients)][1:]
-        if any(poly_eval(dh_p, t) % p == 0 for t in roots):
+        roots, simple = _locus_roots_mod_p(h, p)
+        # a prime where h picks up a repeated root is not a valid witness
+        if not roots or len(simple) < len(roots):
             continue
         cube_roots = cube_root_table(p)
         realized = 0
@@ -328,7 +318,9 @@ def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
                     )
         if realized:
             found.append(p)
-    return tuple(found)
+            if len(found) == 2:
+                return tuple(found)
+    raise InvariantViolation(f"no certification primes found for order {N}")
 
 
 def enumerate_torsion_locus(N_max: int) -> list[TorsionLocusEntry]:
@@ -336,9 +328,13 @@ def enumerate_torsion_locus(N_max: int) -> list[TorsionLocusEntry]:
     t (excluding the degenerate t = ±1) such that (x, t) has exact order N
     on y^2 = x^3 + 1.  The locus g_N(t^2 - 1) is factored in w = t^2 - 1,
     at half the degree, and each factor is lifted to the t-line.  Every
-    factor is certified by two-prime reduction."""
+    factor is certified by two-prime reduction.  An N_max outside
+    2..TORSION_ORDER_LIMIT raises ValueError before any work."""
     if N_max < 2:
         raise ValueError("N_max must be >= 2")
+    if N_max > TORSION_ORDER_LIMIT:
+        raise ValueError(f"N_max = {N_max} exceeds the torsion-order "
+                         f"limit {TORSION_ORDER_LIMIT}")
     exact = _exact_order_division_polys(N_max)
     entries = []
     for n in range(2, N_max + 1):

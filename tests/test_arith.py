@@ -1,5 +1,6 @@
 """Unit tests for exact integer / rational / polynomial / determinant helpers."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from ceresa.arith import (
     is_prime,
     poly_add,
     poly_div_exact,
-    poly_divmod,
     poly_eval,
     poly_mul,
     poly_sub,
@@ -225,20 +225,31 @@ def test_poly_ring_laws(f, g, h):
 
 
 @given(_coeffs, _coeffs)
-@settings(max_examples=100, deadline=None)
-def test_poly_divmod_identity(f, g):
-    f = [Fraction(c) for c in f]
-    g = poly_trim([Fraction(c) for c in g])
+@settings(max_examples=200, deadline=None)
+def test_poly_div_exact_in_z_x(q, g):
+    """(q g) / g == q for integer q and primitive g; adding 1 to q g leaves
+    a remainder when deg g >= 1, which raises ValueError."""
+    g = poly_trim(g)
     if not g:
         return
-    q, r = poly_divmod(f, g)
-    assert poly_trim(poly_add(poly_mul(q, g), r)) == poly_trim(f)
-    assert len(poly_trim(r)) < len(g)
+    content = math.gcd(*g)
+    g = [c // content for c in g]
+    f = poly_mul(q, g)
+    assert poly_div_exact(f, g) == poly_trim(q)
+    if len(g) > 1:
+        with pytest.raises(ValueError):
+            poly_div_exact(poly_add(f, [1]), g)
 
 
 def test_poly_div_exact():
     f = poly_mul([1, 2, 1], [3, 0, 5])  # (1+x)^2 (3+5x^2)
-    assert poly_trim(poly_div_exact([Fraction(c) for c in f], [1, 2, 1])) == [3, 0, 5]
+    assert poly_div_exact(f, [1, 2, 1]) == [3, 0, 5]
+    assert all(type(c) is int for c in poly_div_exact(f, [1, 2, 1]))
+    # 2x + 2 divides x + 1 in Q[x] but not in Z[x]
+    with pytest.raises(ValueError):
+        poly_div_exact([1, 1], [2, 2])
+    with pytest.raises(ZeroDivisionError):
+        poly_div_exact([1, 1], [0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import ast
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -18,7 +19,8 @@ from ceresa import cli, picard
 from ceresa.arith import PRIMALITY_BOUND
 from ceresa.cli import canonical_json, main
 from ceresa.elliptic import INFINITY
-from ceresa.ffcert import PRIME_LIMIT, TORSION_ORDER_LIMIT
+from ceresa.ffcert import PRIME_LIMIT
+from ceresa.picard import TORSION_ORDER_LIMIT
 
 
 def _run(capsys, *argv):
@@ -228,7 +230,7 @@ def test_enumerate_torsion_above_the_order_limit_exits_2(capsys, monkeypatch):
     def no_work(N_max):
         raise AssertionError("the limit is checked before any work")
 
-    monkeypatch.setattr(cli, "enumerate_torsion_locus", no_work)
+    monkeypatch.setattr(picard, "_exact_order_division_polys", no_work)
     n = TORSION_ORDER_LIMIT + 1
     code, obj = _run_json(capsys, "enumerate-torsion", "--N-max", str(n))
     assert code == 2
@@ -308,7 +310,7 @@ def test_scan_non_finite_bound_exits_2(capsys, tmp_path, monkeypatch, bound):
     monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
     code, obj = _run_json(capsys, "scan", "--B", "3", f"--bound={bound}")
     assert code == 2 and obj == {"error": "bound must be finite"}
-    # with a cache the bound is rejected before the key is built: nothing is stored
+    # with a cache the input has no key, so it runs uncached: nothing is stored
     code, obj = _run_json(capsys, "scan", "--B", "3", f"--bound={bound}",
                           "--cache-dir", str(tmp_path))
     assert code == 2 and obj == {"error": "bound must be finite"}
@@ -557,18 +559,41 @@ def test_cache_env_var_takes_precedence(capsys, tmp_path, monkeypatch):
 
 def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
     cache = tmp_path / "cache"
-    _, out1, _ = _run(capsys, "decide", "--a", "1", "--b", "1",
-                      "--cache-dir", str(cache))
-    entry_path = cache / _cache_files(cache)[0]
-    good = json.loads(entry_path.read_text())
-    # invalid JSON, valid JSON that is not an entry, and an entry whose value
-    # is not a JSON object
-    for corrupt in ("{not json", "[1,2]", "7",
-                    json.dumps({**good, "value": "[1,2]"}),
-                    json.dumps({**good, "value": 7})):
-        entry_path.write_text(corrupt)
-        code, out2, _ = _run(capsys, "decide", "--a", "1", "--b", "1",
-                             "--cache-dir", str(cache))
-        assert code == 0 and out2 == out1
+    decide = ["decide", "--a", "1", "--b", "1"]
+    certify = ["certify", "--a", "4", "--b", "1", "--out", "cert.txt"]
+    # the entry's new text, or a dict of fields that replace the good entry's
+    cases = [
+        (decide, "{not json"), (decide, "[1,2]"), (decide, "7"),  # not an entry
+        (decide, {"value": "[1,2]"}), (decide, {"value": 7}),  # not a JSON object
+        # values that parse but that the output stage cannot render
+        (certify, {"value": "{}"}),  # a certificate without fields
+        (decide + ["--table"], {"value": '{"rows": 5}'}),  # rows that are not a list
+    ]
+    for argv, corrupt in cases:
+        code1, out1, _ = _run(capsys, *argv)
+        cert1 = Path("cert.txt").read_text() if "--out" in argv else None
+        shutil.rmtree(cache, ignore_errors=True)
+        _run(capsys, *argv, "--cache-dir", str(cache))
+        entry_path = cache / _cache_files(cache)[0]
+        good = json.loads(entry_path.read_text())
+        entry_path.write_text(json.dumps({**good, **corrupt}) if isinstance(corrupt, dict) else corrupt)
+        Path("cert.txt").unlink(missing_ok=True)
+        code2, out2, err2 = _run(capsys, *argv, "--cache-dir", str(cache))
+        assert code1 == code2 == 0 and out2 == out1 and err2 == "", (argv, corrupt)
+        if cert1 is not None:
+            assert Path("cert.txt").read_text() == cert1
         assert json.loads(entry_path.read_text()) == good
+
+
+def test_cache_dir_keeps_the_first_error_of_an_invalid_input(capsys, tmp_path, monkeypatch):
+    """Delta = 0 and a non-prime ell: frobdet reports ell with or without a
+    cache, since an input with no cache key runs uncached; nothing is stored."""
+    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+    argv = ["frobdet", "--a", "0", "--b", "0", "--q", "11", "--ell", "4"]
+    code1, out1, _ = _run(capsys, *argv)
+    code2, out2, _ = _run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code1 == code2 == 2
+    assert out1 == out2 == canonical_json({"error": "ell must be prime"}) + "\n"
+    assert list(tmp_path.iterdir()) == []

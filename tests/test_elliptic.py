@@ -113,6 +113,24 @@ def test_group_order_fp_matches_brute_force_for_every_d(p):
         assert _group_order_fp(d, p) == 1 + affine_points_brute(d, p), d
 
 
+def test_group_order_cache_is_bounded():
+    """More distinct keys than the cache holds leave it at its bound, so a
+    long-lived process does not grow without limit.  At p = 2 mod 3 each
+    call is O(1)."""
+    maxsize = _group_order_fp.cache_info().maxsize
+    assert maxsize is not None
+    _group_order_fp.cache_clear()
+    try:
+        primes = (1487, 1493, 1499)
+        assert sum(primes) > maxsize
+        for p in primes:
+            for d in range(p):
+                assert _group_order_fp(d, p) == p + 1
+        assert _group_order_fp.cache_info().currsize <= maxsize
+    finally:
+        _group_order_fp.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # sixth-power normalization and rational torsion
 

@@ -181,6 +181,10 @@ def test_counts_and_lpoly_match_oracle_hypothesis(a, b, p):
     assert rec.L_C.coefficients == _independent_L_C(a, b, p)
 
 
+def test_lpoly_cache_is_bounded():
+    assert ffcert._lpoly_cached.cache_info().maxsize is not None
+
+
 def test_lpoly_odd_prym_coefficient_is_an_invariant_violation(monkeypatch):
     """A count over F_{p^2} off by one makes 2 a2 odd: the splitting
     L_C = L_E L_P is then impossible, and lpoly says so."""

@@ -2,6 +2,7 @@
 through canonical models, torsion decision, and the torsion locus on the
 t-line."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from ceresa.arith import (
     roots_mod_p,
 )
 from ceresa.elliptic import mul, on_curve
+from ceresa import picard
 from ceresa.picard import (
+    TORSION_ORDER_LIMIT,
     DegenerateCurve,
     PicardCurve,
     _certify_locus_factor,
@@ -28,7 +31,6 @@ from ceresa.picard import (
     _nonsquare_witness,
     _norm_is_square,
     _on_t_line,
-    _t_locus,
     _w_locus,
     associated_curves,
     canonical_model,
@@ -261,6 +263,21 @@ def test_locus_polynomials_have_no_degenerate_roots():
             assert h(1) != 0 and h(-1) != 0
 
 
+def _t_locus(f: list) -> IntPolynomial:
+    """The t-locus S(t) = g(t^2 - 1) of an exact-order polynomial
+    f(x) = x^r g(x^3) of y^2 = x^3 + 1, as a primitive integer polynomial:
+    the definition that factoring in w and lifting is checked against."""
+    return _on_t_line(_w_locus(f))
+
+
+def test_exact_order_polys_are_primitive_integer_lists():
+    """Each f_N stays primitive in Z[x], so every division by it is exact
+    over Z (Gauss's lemma)."""
+    for n, f in _exact_order_division_polys(16).items():
+        assert all(type(c) is int for c in f), n
+        assert math.gcd(*f) == 1 and f[-1] > 0, n
+
+
 def test_t_locus_is_the_cube_root_of_the_norm_resultant():
     """Eliminating x from f_N(x) = 0, x^3 = t^2 - 1 by a resultant gives
     (t^2 - 1)^r S_N(t)^3 up to a constant: each t is counted once per cube
@@ -413,3 +430,14 @@ def test_locus_certifier_rejects_wrong_order():
 def test_locus_validates_input():
     with pytest.raises(ValueError):
         enumerate_torsion_locus(1)
+
+
+def test_locus_order_limit_is_checked_before_any_work(monkeypatch):
+    def no_work(n_max):
+        raise AssertionError("the limit is checked before any work")
+
+    monkeypatch.setattr(picard, "_exact_order_division_polys", no_work)
+    n = TORSION_ORDER_LIMIT + 1
+    with pytest.raises(ValueError) as info:
+        enumerate_torsion_locus(n)
+    assert str(info.value) == f"N_max = {n} exceeds the torsion-order limit {TORSION_ORDER_LIMIT}"
