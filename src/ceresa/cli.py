@@ -151,8 +151,6 @@ def _cmd_enumerate(params: dict) -> dict:
 
 def _cmd_height(params: dict) -> dict:
     d, x, y = params["d"], params["x"], params["y"]
-    if d == 0:
-        raise ValueError("d must be nonzero")
     E = WeierstrassCurveQ(d)
     P = CurvePoint(x, y)
     if not on_curve(E, P):
@@ -257,15 +255,25 @@ def _cache_key(config: CliConfig) -> str | None:
         return None  # no key (Delta = 0, a non-prime p, a non-finite bound): run uncached
 
 
-def _cache_lookup(cache_dir: str, key: str) -> str | None:
-    path = os.path.join(cache_dir, hashlib.sha256(key.encode()).hexdigest() + ".json")
+def _sound_certificate(config: CliConfig, result: dict) -> bool:
+    # a replayed certificate must validate, for the requested canonical model
+    ca, cb = canonical_model(config.parameters["a"], config.parameters["b"])
+    return ((result["a"], result["b"]) == (rat_str(ca), rat_str(cb))
+            and ffcert.validate_certificate(certificate_text(result))[0])
+
+
+def _cache_lookup(config: CliConfig, key: str) -> str | None:
+    path = os.path.join(config.cache_path, hashlib.sha256(key.encode()).hexdigest() + ".json")
     # anything but a readable entry of this version and key whose value is a
-    # JSON object is corrupt, and is recomputed
+    # JSON object is corrupt, and is recomputed; so is a `certify` value
+    # that is not a valid certificate of the requested model
     try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
+        value = json.loads(entry["value"])
         if (entry["tool_version"] == __version__ and entry["key"] == key
-                and isinstance(json.loads(entry["value"]), dict)):
+                and isinstance(value, dict)
+                and (config.command != "certify" or _sound_certificate(config, value))):
             return entry["value"]
     except (OSError, ValueError, KeyError, TypeError):
         pass
@@ -341,7 +349,7 @@ def run(config: CliConfig) -> int:
         if config.command == "check-cert":
             return check_certificate(config.parameters["path"])
         key = None if cache_dir is None else _cache_key(config)
-        payload = None if key is None else _cache_lookup(cache_dir, key)
+        payload = None if key is None else _cache_lookup(config, key)
         if payload is not None:
             try:
                 rendered = _render(config, payload)

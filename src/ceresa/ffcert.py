@@ -342,6 +342,8 @@ def frobenius_det(a, b, q: int, ell: int) -> FrobeniusDetResult:
     if ell == q:
         raise ValueError("ell must differ from q")
     _check_size(q, "q")
+    if not is_prime(q):
+        raise ValueError("q must be prime")
     rec = lpoly(a, b, q)
     sE = _power_sums(rec.L_E.coefficients, 8)
     sP = _power_sums(rec.L_P.coefficients, 16)

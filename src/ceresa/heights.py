@@ -4,10 +4,11 @@ The canonical height is computed as a sum of local heights in the
 normalization lam(2P) = 4*lam(P) - log|2y(P)|_v at every place, on a
 globally fixed 6th-power-free integral model.  Summed over all places this
 telescopes to the standard Néron-Tate height: h(nP) = n^2 h(P), zero
-exactly on torsion.  The archimedean term is a doubling series; at a prime
-p the term is an exact rational multiple of log p, in closed form from
-v_p(x), v_p(psi_2) and v_p(psi_3) (Silverman, "Computing heights on
-elliptic curves", Math. Comp. 51, 1988, Thm 5.2).
+exactly on torsion.  The archimedean term is a doubling series.  The
+primes of den(x) give log sqrt(den(x)) in one term; at the other primes of
+6*d0 the term is an exact multiple of log p, in closed form from v_p(psi_2)
+and v_p(psi_3) (Silverman, "Computing heights on elliptic curves", Math.
+Comp. 51, 1988, Thm 5.2).
 """
 
 from __future__ import annotations
@@ -104,11 +105,6 @@ def _lam_arch(x0: Fraction, d: int, prec: int = _PREC):
     return total
 
 
-def _check_even_pole(vx: int):
-    if vx % 2:
-        raise InvariantViolation(f"odd pole order {-vx} on an integral model")
-
-
 def _val(r: Fraction, p: int) -> int | None:
     """p-adic valuation of a rational; None encodes +infinity (r = 0)."""
     if r == 0:
@@ -125,30 +121,22 @@ def _val(r: Fraction, p: int) -> int | None:
     return v
 
 
-def _vge(v: int | None, k: int) -> bool:
-    return v is None or v >= k
-
-
 def _reduces_to_cusp(x: Fraction, y: Fraction, p: int) -> bool:
-    # the reduced curve y^2 = x^3 + d mod p is singular where both partials
-    # 3x^2 and 2y vanish (at (0, 0) for p >= 5); P reduces to that point
-    return _vge(_val(3 * x * x, p), 1) and _vge(_val(2 * y, p), 1)
+    # x, y p-integral: y^2 = x^3 + d mod p is singular where 3x^2 and 2y
+    # both vanish (at (0, 0) for p >= 5); P reduces to that point
+    return 3 * x.numerator**2 % p == 0 and 2 * y.numerator % p == 0
 
 
 def _lam_p_coeff(x: Fraction, y: Fraction, d: int, p: int) -> Fraction:
-    """Local height at p as an exact multiple of log p, in the
-    normalization lam(mP) = m^2 lam(P) + v_p(psi_m(P)) log p.
+    """Local height at p, for P with p-integral x, as an exact multiple of
+    log p, in the normalization lam(mP) = m^2 lam(P) + v_p(psi_m(P)) log p.
 
-    Smooth reduction: lam_p = 1/2 max(0, -v_p(x)) log p.  Reduction to the
-    cusp: Silverman's closed form (Math. Comp. 51, 1988, Thm 5.2) with
+    Smooth reduction: lam_p = 0.  Reduction to the cusp: Silverman's closed
+    form (Math. Comp. 51, 1988, Thm 5.2) with
     a = v_p(psi_2(P)) = v_p(2y) and b = v_p(psi_3(P)) = v_p(3x^4 + 12dx).
     If b >= 3a the doubling chain never leaves the cusp and lam_p is its
     fixed point -a/3 (component group Z/3); otherwise 2P escapes in one
     step and lam_p = -b/8."""
-    vx = _val(x, p)
-    if vx is not None and vx < 0:
-        _check_even_pole(vx)
-        return Fraction(-vx, 2)
     if not _reduces_to_cusp(x, y, p):
         return Fraction(0)
     a = _val(2 * y, p)
@@ -171,19 +159,19 @@ def canonical_height(E: WeierstrassCurveQ, P: CurvePoint) -> HeightValue:
     y = Fraction(P.y) / u**3
     if y * y != x**3 + d0:
         raise InvariantViolation(f"({x}, {y}) is not on y^2 = x^3 + {d0}")
-    # non-archimedean contributions live at the primes of bad reduction and
-    # at the (good) primes where P reduces to O, i.e. those dividing den(x);
-    # on an integral model den(x) is an exact square
+    # on an integral model den(x) = root^2, and at each prime of root P is
+    # in the formal group, whatever the reduction type, with the term
+    # -v_p(x)/2 log p = v_p(root) log p: together they are log root
     root = int_root(x.denominator, 2)
     if root is None:
         raise InvariantViolation(f"denominator of x = {x} is not a square")
-    places = set(factorize(6 * d0)) | set(factorize(root))
     with mp.workprec(_PREC):
         total = mp.mpf(_lam_arch(x, d0))
-        for p in sorted(places):
-            coeff = _lam_p_coeff(x, y, d0, p)
+        for p in sorted(factorize(6 * d0)):
+            coeff = _lam_p_coeff(x, y, d0, p) if root % p else 0
             if coeff:
                 total += mp.mpf(coeff.numerator) / coeff.denominator * mp.log(p)
+        total += mp.log(root)
         value = float(total)
     return HeightValue(value, _ERROR_BOUND)
 

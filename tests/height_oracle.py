@@ -15,7 +15,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from ceresa.arith import InvariantViolation
-from ceresa.heights import _ARCH_TERMS, _check_even_pole, _reduces_to_cusp, _val
+from ceresa.heights import _ARCH_TERMS, _reduces_to_cusp, _val
 
 
 def _log_plus(t):
@@ -38,6 +38,11 @@ def lam_arch_reference(x0: Fraction, d: int):
         total += c / mp.mpf(4) ** (n + 1)
         x = x2
     return total
+
+
+def _check_even_pole(vx: int):
+    if vx % 2:
+        raise InvariantViolation(f"odd pole order {-vx} on an integral model")
 
 
 def _check_constant_chain(chain: list[int]):

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import ceresa
 from ceresa import cli, picard
 from ceresa.arith import PRIMALITY_BOUND
 from ceresa.cli import canonical_json, main
-from ceresa.elliptic import INFINITY
+from ceresa.elliptic import INFINITY, CurvePoint, WeierstrassCurveQ, mul
 from ceresa.ffcert import PRIME_LIMIT
 from ceresa.picard import TORSION_ORDER_LIMIT
 
@@ -183,6 +184,9 @@ _PSI_12 = 318665857834031151167461
     (["certify", "--a", "4", "--b", "1", "--ell", str(_PSI_12)], "ell is not prime"),
     (["frobdet", "--a", "1", "--b", "1", "--q", "11", "--ell", str(PRIMALITY_BOUND)],
      f"{PRIMALITY_BOUND} is too large to test for primality"),
+    # the message names the flag at fault
+    (["frobdet", "--a", "1", "--b", "1", "--q", "12", "--ell", "7"], "q must be prime"),
+    (["height", "--d", "0", "--x", "0", "--y", "0"], "d must be nonzero"),
 ])
 def test_ell_beyond_bases_2_to_37_exits_2(capsys, argv, error):
     code, obj = _run_json(capsys, *argv)
@@ -266,6 +270,13 @@ def test_height(capsys):
     assert code == 0
     assert abs(obj["value"] - 0.4998946622) < 1e-9
     assert obj["error_bound"] <= 1e-9
+    # 30P, with a 196-digit root of den(x): den(x) is never factored
+    hP = obj["value"]
+    P30 = mul(WeierstrassCurveQ(Fraction(36)), 30, CurvePoint(Fraction(-3), Fraction(-3)))
+    start = time.monotonic()
+    code, obj = _run_json(capsys, "height", "--d", "36", f"--x={P30.x}", f"--y={P30.y}")
+    assert time.monotonic() - start < 1.0
+    assert code == 0 and abs(obj["value"] - 900 * hP) <= 900 * 1e-9
     # exact zero for torsion
     code, obj = _run_json(capsys, "height", "--d", "1", "--x", "2", "--y", "3")
     assert code == 0 and obj["value"] == 0.0 and obj["error_bound"] == 0.0
@@ -370,6 +381,19 @@ def test_table_output(capsys):
     assert code == 0 and err == ""
     assert "status: infinite" in out
     assert "j: 3/4" in out
+    code, out, err = _run(capsys, "scan", "--B", "2", "--table")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "t\tstatus\tq_order\tvalue\terror_bound",
+        "-2\tinfinite\t-\t0.407347720283413\t1e-09",
+        "-1/2\tinfinite\t-\t0.4998946621893968\t1e-09",
+        "0\ttorsion\t2\t0.0\t0.0",
+        "1/2\tinfinite\t-\t0.4998946621893968\t1e-09",
+        "2\tinfinite\t-\t0.407347720283413\t1e-09",
+    ]
+    code, out, err = _run(capsys, "enumerate-torsion", "--N-max", "3", "--table")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["N=2: t", "N=3: t^2 + 3"]
 
 
 def test_table_error_goes_to_stderr(capsys):
@@ -563,13 +587,25 @@ def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     decide = ["decide", "--a", "1", "--b", "1"]
     certify = ["certify", "--a", "4", "--b", "1", "--out", "cert.txt"]
-    # the entry's new text, or a dict of fields that replace the good entry's
+    other_model = _run(capsys, "certify", "--a", "1", "--b", "1")[1].strip()
+
+    def forged(**fields):
+        # the good entry, with these fields of its value replaced
+        return lambda good: {"value": canonical_json({**json.loads(good["value"]), **fields})}
+
+    # the entry's new text, a dict of fields that replace the good entry's,
+    # or a function of the good entry giving such a dict
     cases = [
         (decide, "{not json"), (decide, "[1,2]"), (decide, "7"),  # not an entry
         (decide, {"value": "[1,2]"}), (decide, {"value": 7}),  # not a JSON object
         # values that parse but that the output stage cannot render
         (certify, {"value": "{}"}),  # a certificate without fields
         (decide + ["--table"], {"value": '{"rows": 5}'}),  # rows that are not a list
+        # a certificate that check-cert rejects, with and without --out,
+        # and a valid one for another model, (a, b) = (1, 1)
+        (certify, forged(sigma="(0, 0)", det_value="1")),
+        (certify[:-2], forged(sigma="(0, 0)", det_value="1")),
+        (certify, {"value": other_model}),
     ]
     for argv, corrupt in cases:
         code1, out1, _ = _run(capsys, *argv)
@@ -578,6 +614,8 @@ def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch):
         _run(capsys, *argv, "--cache-dir", str(cache))
         entry_path = cache / _cache_files(cache)[0]
         good = json.loads(entry_path.read_text())
+        if callable(corrupt):
+            corrupt = corrupt(good)
         entry_path.write_text(json.dumps({**good, **corrupt}) if isinstance(corrupt, dict) else corrupt)
         Path("cert.txt").unlink(missing_ok=True)
         code2, out2, err2 = _run(capsys, *argv, "--cache-dir", str(cache))

@@ -632,7 +632,11 @@ _TAMPER_CASES = [
     ("q = 7", "q = 2", "bad reduction at q"),
     ("q = 7", "q = 5", "q equals ell"),
     ("q = 7", "q = 17", "det_value mismatch"),
+    ("q = 7\nsigma = (4, 9)\nsigma_order = 10\ndet_value = 44281396224/1977326743",
+     "q = 17\nsigma = (4, 9)\nsigma_order = 10\ndet_value = 227133631872000000/168377826559400929",
+     "det is not a unit mod ell"),
     ("sigma = (4, 9)", "sigma = (4, 10)", "sigma mismatch"),
+    ("sigma = (4, 9)", "sigma = O", "sigma mismatch"),
     ("sigma_order = 10", "sigma_order = 5", "sigma_order mismatch"),
     ("det_value = 44281396224/1977326743",
      "det_value = 44281396225/1977326743", "det_value mismatch"),
@@ -689,6 +693,9 @@ def test_certificate_malformed_inputs():
     # non-integer v
     ok, msg = validate_certificate(good.replace("v = 29", "v = 29/2"))
     assert not ok and "malformed" in msg
+    # fields out of order
+    assert validate_certificate(good.replace("a = 4\nb = 1", "b = 1\na = 4")) == (
+        False, "malformed certificate: expected field 'a'")
 
 
 _HINT_CASES = [

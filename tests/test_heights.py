@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
+from ceresa import heights
 from ceresa.arith import InvariantViolation, factorize
 from ceresa.cli import main
 from ceresa.elliptic import (
@@ -23,6 +24,7 @@ from ceresa.heights import (
     HeightValue,
     _lam_arch,
     _lam_p_coeff,
+    _val,
     canonical_height,
     northcott_scan,
 )
@@ -69,10 +71,20 @@ def test_torsion_heights_are_exactly_zero():
                             CurvePoint.infinity()) == HeightValue(0.0, 0.0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 6])
-def test_quadraticity(n):
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 30])
+def test_quadraticity(monkeypatch, n):
     """h(nP) = n^2 h(P), exercising non-integral multiples whose
-    denominators pick up new primes of good reduction."""
+    denominators pick up new primes of good reduction.  Those primes enter
+    as one log term, so factorize sees 6*d0 = 216 and nothing else, even
+    at 30P, where the root of den(x) has 196 digits."""
+    real = heights.factorize
+
+    def only_6_d0(m):
+        if m != 216:
+            raise AssertionError(f"factorize({m}) called")
+        return real(m)
+
+    monkeypatch.setattr(heights, "factorize", only_6_d0)
     E = WeierstrassCurveQ(Fraction(36))
     P = CurvePoint(Fraction(-3), Fraction(-3))
     hP = canonical_height(E, P)
@@ -237,12 +249,19 @@ def test_lam_arch_survives_rounding_zero_at_large_d(capsys, d, x):
 
 
 def _assert_terms_match_oracle(d, P, steps=8):
-    # every p-adic term of canonical_height, on its 6th-power-free model
+    # every p-adic term of canonical_height, on its 6th-power-free model: a
+    # prime of root = sqrt(den(x)) contributes v_p(root) to the log root
+    # term, any other prime of 6*d0 the closed form
     d0, u = sixth_power_free(Fraction(d))
     x, y = Fraction(P.x) / u**2, Fraction(P.y) / u**3
-    places = set(factorize(6 * d0)) | set(factorize(math.isqrt(x.denominator)))
-    for p in sorted(places):
-        assert _lam_p_coeff(x, y, d0, p) == lam_p_coeff_chain(x, y, d0, p, steps), (d, P, p)
+    root = math.isqrt(x.denominator)
+    assert root * root == x.denominator
+    for p in sorted(set(factorize(6 * d0)) | set(factorize(root))):
+        chain = lam_p_coeff_chain(x, y, d0, p, steps)
+        if root % p == 0:
+            assert chain == _val(Fraction(root), p), (d, P, p)
+        else:
+            assert _lam_p_coeff(x, y, d0, p) == chain, (d, P, p)
 
 
 @settings(max_examples=60, deadline=None)
