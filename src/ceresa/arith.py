@@ -86,19 +86,28 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i in range(bound + 1) if flags[i]]
 
 
+def _trial_factor(n: int, k: int) -> tuple[dict[int, int], int]:
+    """({q: e}, r) with n = r * prod q^e, by trial division of n >= 1 by
+    q = 2, 3, 4, ... while q^k <= the part of n left.  Every prime of r is
+    at least the last q, whose k-th power exceeds r: so no p^k divides r,
+    and for k = 2, r is 1 or a prime."""
+    found, q = {}, 2
+    while q**k <= n:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            found[q] = e
+        q += 1
+    return found, n
+
+
 def small_prime_divisors(n: int) -> list[int]:
     """The distinct primes of n >= 1, ascending, by trial division: for small
     n such as the group orders #E(F_p) <= p + 1 + 2 sqrt(p)."""
-    primes, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            primes.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        primes.append(n)
-    return primes
+    found, rest = _trial_factor(n, 2)
+    return list(found) + ([rest] if rest > 1 else [])
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -110,33 +119,17 @@ def factorize(n: int) -> dict[int, int]:
     return {int(p): int(e) for p, e in factorint(abs(n)).items()}
 
 
-# The primes below 1000, enough to trial-divide any |n| < 1000^k for its
-# k-th-power part
-_TRIAL_PRIMES = primes_up_to(1000)
-
-
 def power_part(n: int, k: int) -> int:
     """The largest m >= 1 with m**k dividing n, for n nonzero and k >= 1.
 
     When |n| < 1000^k, a prime p with p^k | n is below 1000, so trial
-    division by the primes below 1000 is exact and needs no sympy; a larger
-    n is factored by factorize."""
+    division needs fewer than 1000 steps and no sympy; a larger n is
+    factored by factorize."""
     if n == 0:
         raise ValueError("power_part of 0")
     n = abs(n)
-    if n >= 1000**k:
-        return math.prod(p ** (e // k) for p, e in factorize(n).items())
-    m = 1
-    for p in _TRIAL_PRIMES:
-        if p**k > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            m *= p ** (e // k)
-    return m
+    found = factorize(n) if n >= 1000**k else _trial_factor(n, k)[0]
+    return math.prod(p ** (e // k) for p, e in found.items())
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .arith import (
     poly_scale,
     poly_sub,
     poly_trim,
-    power_part,
     primitive_int_poly,
     rational_root,
     rational_roots,
@@ -206,21 +205,6 @@ def order_fp(E: WeierstrassCurveFp, P: CurvePoint) -> int:
 
 # ---------------------------------------------------------------------------
 # rational torsion for j = 0
-
-def sixth_power_free(d: Fraction) -> tuple[int, Fraction]:
-    """Write d = d0 * u^6 with d0 a 6th-power-free integer; return (d0, u).
-
-    This is the sextic-twist normalization: (x, y) on y^2 = x^3 + d maps to
-    (x/u^2, y/u^3) on y^2 = x^3 + d0.
-    """
-    d = Fraction(d)
-    if d == 0:
-        raise ValueError("d must be nonzero")
-    den = d.denominator
-    d1 = d.numerator * den**5  # d * den^6, an integer
-    mu = power_part(d1, 6)
-    return d1 // mu**6, Fraction(mu, den)
-
 
 def torsion_j0_Q(d: Fraction) -> TorsionGroupQ:
     """The full rational torsion subgroup of y^2 = x^3 + d.

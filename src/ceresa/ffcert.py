@@ -143,9 +143,7 @@ def count_curve(a, b, p: int, i: int) -> CountRecord:
     elif i == 2:
         n = _count_fp2(av, bv, p)
     else:
-        cs = _lpoly_cached(av, bv, p).L_C.coefficients
-        e1, e2, e3 = -cs[1], cs[2], -cs[3]
-        n = size + 1 - (e1**3 - 3 * e1 * e2 + 3 * e3)
+        n = size + 1 - _power_sums(_lpoly_cached(av, bv, p).L_C.coefficients, 3)[3]
 
     if (n - size - 1) ** 2 > 36 * size:
         raise InvariantViolation(f"Weil bound violated: {n} points over F_{p}^{i}")
@@ -165,7 +163,7 @@ class LPolyRecord:
 
 def _good_int_model(a, b) -> tuple[int, int, int]:
     """Canonical integral model and its discriminant 16 b (a^2 - 4b)."""
-    ai, bi = canonical_model(Fraction(a), Fraction(b))
+    ai, bi = canonical_model(a, b)
     return ai, bi, discriminant(ai, bi)
 
 
@@ -242,11 +240,11 @@ def lift_sum(a, b, v: int) -> LiftSumResult:
 
     roots = cube_root_table(v)
     ram = tuple(Genus1Point(0, y) for y in roots.get(bv, []))
-    lift = set()
-    for x in range(1, v):
-        fx = (pow(x, 4, v) + av * x * x + bv) % v
-        for y in roots.get(fx, []):
-            lift.add(((x * x) % v, y))
+    # x and -x give the same (x^2, y): half the x, each w = x^2 once
+    lift = []
+    for x in range(1, (v + 1) // 2):
+        w = x * x % v
+        lift += [(w, y) for y in roots.get((w * w + av * w + bv) % v, [])]
 
     d_e = genus1_weierstrass_d(av, bv) % v
     Ew = WeierstrassCurveFp(d_e, v)
@@ -536,12 +534,21 @@ def parse_certificate(text: str) -> dict:
                 pm = _PT_RE.match(val)
                 if not pm:
                     raise ValueError("malformed certificate: bad sigma")
-                out[name] = Genus1Point(int(pm.group(1)), int(pm.group(2)))
+                out[name] = Genus1Point(*(_cert_int(g, "bad sigma") for g in pm.groups()))
         else:
             if not re.match(r"^\d+$", val):
                 raise ValueError(f"malformed certificate: bad integer in {name!r}")
-            out[name] = int(val)
+            out[name] = _cert_int(val, f"bad integer in {name!r}")
     return out
+
+
+def _cert_int(digits: str, what: str) -> int:
+    """int(digits), with more digits than int() reads (past
+    sys.get_int_max_str_digits) reported as a malformed certificate."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"malformed certificate: {what}") from None
 
 
 def validate_certificate(text: str) -> tuple[bool, str]:

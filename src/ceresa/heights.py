@@ -8,7 +8,8 @@ exactly on torsion.  The archimedean term is a doubling series.  The
 primes of den(x) give log sqrt(den(x)) in one term; at the other primes of
 6*d0 the term is an exact multiple of log p, in closed form from v_p(psi_2)
 and v_p(psi_3) (Silverman, "Computing heights on elliptic curves", Math.
-Comp. 51, 1988, Thm 5.2).
+Comp. 51, 1988, Thm 5.2).  One factorization per height, of the integer
+d * den(d)^6, yields both the model and those primes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from mpmath.libmp import (
 )
 
 from .arith import InvariantViolation, factorize, int_root
-from .elliptic import CurvePoint, WeierstrassCurveQ, sixth_power_free, torsion_points
+from .elliptic import CurvePoint, WeierstrassCurveQ, torsion_points
 from .picard import PicardCurve, associated_curves, decide_ceresa_t
 
 _ARCH_TERMS = 40
@@ -151,10 +152,19 @@ def canonical_height(E: WeierstrassCurveQ, P: CurvePoint) -> HeightValue:
 
     Exact 0 for torsion (including O); otherwise archimedean series plus
     exact non-archimedean corrections on the 6th-power-free integral model
-    y^2 = x^3 + d0, at the primes dividing 6*d0 and den(x)."""
+    y^2 = x^3 + d0, at the primes dividing 6*d0 and den(x).  Only
+    d * den(d)^6 = mu^6 d0 is factored, once: it gives d0, the scaling
+    u = mu/den(d) and the primes of 6*d0; den(x) is never factored."""
     if P.inf or P in torsion_points(E.d):
         return HeightValue(0.0, 0.0)
-    d0, u = sixth_power_free(Fraction(E.d))
+    # d1 = d * den^6 = mu^6 * d0 is factored once: its primes, with 2 and 3,
+    # include every prime where a local term can be nonzero (at a prime of
+    # mu not dividing 6*d0, P cannot reduce to the cusp, so the term is 0)
+    den = E.d.denominator
+    d1 = E.d.numerator * den**5
+    fac = factorize(d1)
+    mu = math.prod(p ** (e // 6) for p, e in fac.items())
+    d0, u = d1 // mu**6, Fraction(mu, den)
     x = Fraction(P.x) / u**2
     y = Fraction(P.y) / u**3
     if y * y != x**3 + d0:
@@ -167,7 +177,7 @@ def canonical_height(E: WeierstrassCurveQ, P: CurvePoint) -> HeightValue:
         raise InvariantViolation(f"denominator of x = {x} is not a square")
     with mp.workprec(_PREC):
         total = mp.mpf(_lam_arch(x, d0))
-        for p in sorted(factorize(6 * d0)):
+        for p in sorted(fac.keys() | {2, 3}):
             coeff = _lam_p_coeff(x, y, d0, p) if root % p else 0
             if coeff:
                 total += mp.mpf(coeff.numerator) / coeff.denominator * mp.log(p)

@@ -156,11 +156,11 @@ def canonical_model(a: Fraction, b: Fraction) -> tuple[int, int]:
     Isomorphic inputs share a canonical model, which keys caches and
     good-reduction tests."""
     a, b = Fraction(a), Fraction(b)
-    if discriminant(a, b) == 0:
-        raise DegenerateCurve("degenerate: Delta=0")
-    lam = math.lcm(a.denominator if a else 1, b.denominator)
+    lam = math.lcm(a.denominator, b.denominator)
     ai = int(a * lam**6)
     bi = int(b * lam**12)
+    if discriminant(ai, bi) == 0:  # lam^24 times that of (a, b)
+        raise DegenerateCurve("degenerate: Delta=0")
     # u^6 | a and u^12 | b exactly when u^12 | gcd(a^2, b)
     u = power_part(math.gcd(ai * ai, bi), 12)
     return ai // u**6, bi // u**12

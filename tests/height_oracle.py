@@ -8,14 +8,34 @@ step), so it serves only as the oracle for the closed form.
 At infinity: the doubling series written with mpmath's `mpf` operators,
 the oracle for the raw `mpmath.libmp` kernel, which must match it bit for
 bit.
+
+The sixth-power-free model: d = d0 * u^6 read off sympy's factorization,
+the reference for the one factorization inside `canonical_height`.
 """
 
+import math
 from fractions import Fraction
 
 from mpmath import mp
+from sympy import factorint
 
 from ceresa.arith import InvariantViolation
 from ceresa.heights import _ARCH_TERMS, _reduces_to_cusp, _val
+
+
+def sixth_power_free(d: Fraction) -> tuple[int, Fraction]:
+    """Write d = d0 * u^6 with d0 a 6th-power-free integer; return (d0, u).
+
+    This is the sextic-twist normalization: (x, y) on y^2 = x^3 + d maps to
+    (x/u^2, y/u^3) on y^2 = x^3 + d0.
+    """
+    d = Fraction(d)
+    if d == 0:
+        raise ValueError("d must be nonzero")
+    den = d.denominator
+    d1 = d.numerator * den**5  # d * den^6, an integer
+    mu = math.prod(p ** (e // 6) for p, e in factorint(abs(d1)).items())
+    return d1 // mu**6, Fraction(mu, den)
 
 
 def _log_plus(t):

@@ -27,13 +27,13 @@ from ceresa.elliptic import (
     neg,
     on_curve,
     order_fp,
-    sixth_power_free,
     torsion_j0_Q,
     torsion_points,
     weierstrass_to_genus1,
 )
 
 from genus1_oracle import genus1_add
+from height_oracle import sixth_power_free
 from modp_oracle import affine_points_brute
 
 

@@ -10,6 +10,7 @@ instead of power sums, brute-force counts over a handwritten extension
 field instead of the Prym splitting) so that shared bugs cannot hide.
 """
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -696,6 +697,22 @@ def test_certificate_malformed_inputs():
     # fields out of order
     assert validate_certificate(good.replace("a = 4\nb = 1", "b = 1\na = 4")) == (
         False, "malformed certificate: expected field 'a'")
+    # more digits than int() reads (Python 3.11+, and 3.10 from 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        huge = "7" * (limit + 1)
+        for field, bad, reason in [
+            ("v = 29", f"v = {huge}", "bad integer in 'v'"),
+            ("ell = 5", f"ell = {huge}", "bad integer in 'ell'"),
+            ("q = 7", f"q = {huge}", "bad integer in 'q'"),
+            ("sigma_order = 10", f"sigma_order = {huge}", "bad integer in 'sigma_order'"),
+            ("sigma = (4, 9)", f"sigma = ({huge}, 9)", "bad sigma"),
+            ("sigma = (4, 9)", f"sigma = (4, -{huge})", "bad sigma"),
+            ("det_value = ", f"det_value = {huge}", "bad rational in 'det_value'"),
+        ]:
+            assert field in good
+            assert validate_certificate(good.replace(field, bad)) == (
+                False, f"malformed certificate: {reason}")
 
 
 _HINT_CASES = [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
-from ceresa import heights
+from ceresa import arith, heights
 from ceresa.arith import InvariantViolation, factorize
 from ceresa.cli import main
 from ceresa.elliptic import (
@@ -16,7 +16,6 @@ from ceresa.elliptic import (
     WeierstrassCurveQ,
     mul,
     on_curve,
-    sixth_power_free,
     torsion_points,
 )
 from ceresa.heights import (
@@ -30,7 +29,7 @@ from ceresa.heights import (
 )
 from ceresa.picard import PicardCurve, associated_curves
 
-from height_oracle import lam_arch_reference, lam_p_coeff_chain
+from height_oracle import lam_arch_reference, lam_p_coeff_chain, sixth_power_free
 
 # Battery of reference values, frozen from an independent evaluation of the
 # local-height definition (naive-height limit telescoped through repeated
@@ -75,21 +74,37 @@ def test_torsion_heights_are_exactly_zero():
 def test_quadraticity(monkeypatch, n):
     """h(nP) = n^2 h(P), exercising non-integral multiples whose
     denominators pick up new primes of good reduction.  Those primes enter
-    as one log term, so factorize sees 6*d0 = 216 and nothing else, even
-    at 30P, where the root of den(x) has 196 digits."""
+    as one log term, so factorize sees d * den(d)^6 = 36 once per height
+    and nothing else, even at 30P, where the root of den(x) has 196
+    digits."""
     real = heights.factorize
+    calls = []
 
-    def only_6_d0(m):
-        if m != 216:
+    def only_d1(m):
+        if m != 36:
             raise AssertionError(f"factorize({m}) called")
+        calls.append(m)
         return real(m)
 
-    monkeypatch.setattr(heights, "factorize", only_6_d0)
+    monkeypatch.setattr(heights, "factorize", only_d1)
     E = WeierstrassCurveQ(Fraction(36))
     P = CurvePoint(Fraction(-3), Fraction(-3))
     hP = canonical_height(E, P)
     hnP = canonical_height(E, mul(E, n, P))
     assert abs(hnP.value - n * n * hP.value) <= n * n * 1e-9
+    assert calls == [36, 36]
+
+
+def test_one_factorization_per_nontorsion_height(monkeypatch):
+    """northcott_scan factors one integer per non-torsion row, and none for
+    a torsion row, whose height is 0 without any local terms.  Both
+    bindings are counted: heights' own and the one arith's helpers call."""
+    real = arith.factorize
+    calls = []
+    for module in (arith, heights):
+        monkeypatch.setattr(module, "factorize", lambda m: calls.append(m) or real(m))
+    rows = northcott_scan(12)
+    assert len(calls) == sum(1 for r in rows if r.height.value != 0.0) > 0
 
 
 def test_quadraticity_rational_model():
