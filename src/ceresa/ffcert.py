@@ -506,7 +506,7 @@ def serialize_certificate(cert: InfinitudeCertificate) -> str:
     return certificate_text(certificate_fields(cert))
 
 
-_PT_RE = re.compile(r"^\((-?\d+), (-?\d+)\)$")
+_PT_RE = re.compile(r"^\((-?\d+), (-?\d+)\)$", re.ASCII)
 
 
 def parse_certificate(text: str) -> dict:
@@ -536,7 +536,7 @@ def parse_certificate(text: str) -> dict:
                     raise ValueError("malformed certificate: bad sigma")
                 out[name] = Genus1Point(*(_cert_int(g, "bad sigma") for g in pm.groups()))
         else:
-            if not re.match(r"^\d+$", val):
+            if not re.match(r"^\d+$", val, re.ASCII):
                 raise ValueError(f"malformed certificate: bad integer in {name!r}")
             out[name] = _cert_int(val, f"bad integer in {name!r}")
     return out

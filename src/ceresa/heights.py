@@ -10,6 +10,11 @@ primes of den(x) give log sqrt(den(x)) in one term; at the other primes of
 and v_p(psi_3) (Silverman, "Computing heights on elliptic curves", Math.
 Comp. 51, 1988, Thm 5.2).  One factorization per height, of the integer
 d * den(d)^6, yields both the model and those primes.
+
+The scan computes one height per ±t pair.  The parameters t and -t give
+the same curve y^2 = x^3 + 4(4t^2 - 4)^2 with Q_{-t} = -Q_t, and the height
+reads a point only through x and through the sign-free facts y = 0 mod p
+and v_p(2y), so h(Q_{-t}) is h(Q_t) bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .picard import PicardCurve, associated_curves, decide_ceresa_t
 _ARCH_TERMS = 40
 _PREC = 80  # bits for the archimedean series and the sum of local terms
 _ERROR_BOUND = 1e-9  # dominated by the 4^-40 series tail at 80-bit precision
+SCAN_B_LIMIT = 200  # the largest box of northcott_scan; its work grows as B^2
 
 
 @dataclass(frozen=True)
@@ -200,9 +206,17 @@ def northcott_scan(B: int, bound: float = math.inf) -> list[NorthcottRow]:
     """Every t = m/n in lowest terms with max(|m|, n) <= B and t != ±1:
     the torsion verdict for the curve with (a, b) = (2t, 1) and the
     canonical height of its marked point.  Rows with height <= bound, in
-    increasing t order."""
+    increasing t order.  A B outside 1..SCAN_B_LIMIT raises ValueError
+    before any work.
+
+    The height is computed once per ±t pair: t and -t share the curve
+    E_Delta and Q_{-t} = -Q_t, whose height is the same float (see the
+    module docstring).  The verdict, and the check that it says torsion
+    exactly when the height is 0, stay per row."""
     if B < 1:
         raise ValueError("B must be >= 1")
+    if B > SCAN_B_LIMIT:
+        raise ValueError(f"B = {B} exceeds the scan limit {SCAN_B_LIMIT}")
     ts = sorted(
         Fraction(m, n)
         for n in range(1, B + 1)
@@ -210,10 +224,13 @@ def northcott_scan(B: int, bound: float = math.inf) -> list[NorthcottRow]:
         if math.gcd(abs(m), n) == 1 and abs(Fraction(m, n)) != 1
     )
     rows = []
+    by_t = {}
     for t in ts:
         verdict = decide_ceresa_t(t)
-        assoc = associated_curves(PicardCurve(2 * t, Fraction(1)))
-        h = canonical_height(assoc.EDelta, assoc.Q)
+        h = by_t.get(-t)
+        if h is None:
+            assoc = associated_curves(PicardCurve(2 * t, Fraction(1)))
+            h = by_t[t] = canonical_height(assoc.EDelta, assoc.Q)
         if (verdict.status == "torsion") != (h.value == 0.0):
             raise InvariantViolation(f"t = {t}: verdict {verdict.status} but height {h.value}")
         if h.value <= bound:

@@ -16,11 +16,12 @@ import pytest
 from sympy import nextprime
 
 import ceresa
-from ceresa import cli, picard
+from ceresa import cli, heights, picard
 from ceresa.arith import PRIMALITY_BOUND
 from ceresa.cli import canonical_json, main
 from ceresa.elliptic import INFINITY, CurvePoint, WeierstrassCurveQ, mul
 from ceresa.ffcert import PRIME_LIMIT
+from ceresa.heights import SCAN_B_LIMIT
 from ceresa.picard import TORSION_ORDER_LIMIT
 
 
@@ -325,6 +326,19 @@ def test_scan_non_finite_bound_exits_2(capsys, tmp_path, monkeypatch, bound):
     code, obj = _run_json(capsys, "scan", "--B", "3", f"--bound={bound}",
                           "--cache-dir", str(tmp_path))
     assert code == 2 and obj == {"error": "bound must be finite"}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_above_the_box_limit_exits_2(capsys, tmp_path, monkeypatch):
+    def no_work(t):
+        raise AssertionError("the limit is checked before any work")
+
+    monkeypatch.setattr(heights, "decide_ceresa_t", no_work)
+    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+    B = SCAN_B_LIMIT + 1
+    for cache in ([], ["--cache-dir", str(tmp_path)]):
+        code, obj = _run_json(capsys, "scan", "--B", str(B), *cache)
+        assert code == 2 and obj == {"error": f"B = {B} exceeds the scan limit {SCAN_B_LIMIT}"}
     assert list(tmp_path.iterdir()) == []
 
 

@@ -694,6 +694,12 @@ def test_certificate_malformed_inputs():
     # non-integer v
     ok, msg = validate_certificate(good.replace("v = 29", "v = 29/2"))
     assert not ok and "malformed" in msg
+    # digits outside ASCII, which int() would read (Arabic-Indic 29 and 4)
+    for field, bad, reason in [("v = 29", "v = \u0662\u0669", "bad integer in 'v'"),
+                               ("sigma = (4, 9)", "sigma = (\u0664, 9)", "bad sigma")]:
+        assert field in good
+        assert validate_certificate(good.replace(field, bad)) == (
+            False, f"malformed certificate: {reason}")
     # fields out of order
     assert validate_certificate(good.replace("a = 4\nb = 1", "b = 1\na = 4")) == (
         False, "malformed certificate: expected field 'a'")

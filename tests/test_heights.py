@@ -15,11 +15,13 @@ from ceresa.elliptic import (
     CurvePoint,
     WeierstrassCurveQ,
     mul,
+    neg,
     on_curve,
     torsion_points,
 )
 from ceresa.heights import (
     _PREC,
+    SCAN_B_LIMIT,
     HeightValue,
     _lam_arch,
     _lam_p_coeff,
@@ -96,15 +98,41 @@ def test_quadraticity(monkeypatch, n):
 
 
 def test_one_factorization_per_nontorsion_height(monkeypatch):
-    """northcott_scan factors one integer per non-torsion row, and none for
-    a torsion row, whose height is 0 without any local terms.  Both
-    bindings are counted: heights' own and the one arith's helpers call."""
+    """northcott_scan factors one integer per non-torsion ±t pair (t and -t
+    share one height), and none for a torsion row, whose height is 0
+    without any local terms.  Both bindings are counted: heights' own and
+    the one arith's helpers call."""
     real = arith.factorize
     calls = []
     for module in (arith, heights):
         monkeypatch.setattr(module, "factorize", lambda m: calls.append(m) or real(m))
     rows = northcott_scan(12)
-    assert len(calls) == sum(1 for r in rows if r.height.value != 0.0) > 0
+    assert len(calls) == len({abs(r.t) for r in rows if r.height.value != 0.0}) > 0
+
+
+def test_scan_computes_one_height_per_pm_t_pair(monkeypatch):
+    """t and -t share E_Delta and Q_{-t} = -Q_t, so the scan computes one
+    height per pair; the verdict is still decided for every t, and the two
+    rows of a pair agree in everything but t."""
+    heights_of, verdicts_of = [], []
+    real_height, real_decide = heights.canonical_height, heights.decide_ceresa_t
+
+    def counted_height(E, P):
+        heights_of.append((E.d, P.x, P.y))
+        return real_height(E, P)
+
+    monkeypatch.setattr(heights, "canonical_height", counted_height)
+    monkeypatch.setattr(heights, "decide_ceresa_t",
+                        lambda t: verdicts_of.append(t) or real_decide(t))
+    rows = northcott_scan(12)
+    by_t = {r.t: r for r in rows}
+    assert verdicts_of == [r.t for r in rows]
+    assert len(heights_of) == len({abs(t) for t in by_t}) == len(set(heights_of))
+    assert len(rows) > len(heights_of) > 0
+    for t, r in by_t.items():
+        m = by_t[-t]
+        assert (r.verdict.status, r.verdict.q_order) == (m.verdict.status, m.verdict.q_order)
+        assert (r.height.value, r.height.error_bound) == (m.height.value, m.height.error_bound)
 
 
 def test_quadraticity_rational_model():
@@ -159,9 +187,17 @@ def test_northcott_scan_bound_zero():
     assert orders == {Fraction(-3): 6, Fraction(0): 2, Fraction(3): 6}
 
 
-def test_northcott_scan_validates():
+def test_northcott_scan_validates(monkeypatch):
     with pytest.raises(ValueError):
         northcott_scan(0)
+
+    def no_work(t):
+        raise AssertionError("the limit is checked before any work")
+
+    monkeypatch.setattr(heights, "decide_ceresa_t", no_work)
+    B = SCAN_B_LIMIT + 1
+    with pytest.raises(ValueError, match=f"^B = {B} exceeds the scan limit {SCAN_B_LIMIT}$"):
+        northcott_scan(B)
 
 
 def test_height_invariant_under_sextic_rescaling():
@@ -194,6 +230,37 @@ _FROZEN_BITS = [
 @pytest.mark.parametrize("d,pt,bits", _FROZEN_BITS)
 def test_frozen_float_bits(d, pt, bits):
     assert repr(canonical_height(WeierstrassCurveQ(d), CurvePoint(*pt)).value) == bits
+
+
+def _negation_battery():
+    # the frozen points, which reach every branch of the local terms and
+    # the rational-d models 17/64 and 36864/2401, and nP, n in {1, 2, 3, 5},
+    # of the integral points with 0 < |d| <= 120, -6 <= x < 60
+    out = [(d, CurvePoint(*pt)) for d, pt, _ in _FROZEN_BITS]
+    for d in range(-120, 121):
+        if d == 0:
+            continue
+        E = WeierstrassCurveQ(Fraction(d))
+        for x in range(-6, 60):
+            y = math.isqrt(max(x**3 + d, 0))
+            if y > 0 and y * y == x**3 + d:
+                P = CurvePoint(Fraction(x), Fraction(y))
+                out += [(Fraction(d), mul(E, n, P)) for n in (1, 2, 3, 5)]
+    return out
+
+
+def test_height_of_negative_point_has_the_same_bits():
+    """h(-P) = h(P) as floats, not only up to the error bound: the height
+    reads y only through y = 0 mod p and v_p(2y).  The scan relies on it
+    to share one height between t and -t."""
+    battery = _negation_battery()
+    assert len(battery) > 600
+    # the battery reaches a nonzero cusp term: -a/3 = -1/3 at 5 for (5, 5)
+    assert _lam_p_coeff(Fraction(5), Fraction(5), -100, 5) == Fraction(-1, 3)
+    assert (Fraction(-100), CurvePoint(Fraction(5), Fraction(5))) in battery
+    for d, P in battery:
+        E = WeierstrassCurveQ(d)
+        assert repr(canonical_height(E, neg(E, P))) == repr(canonical_height(E, P)), (d, P)
 
 
 def _arch_inputs_box(B):
