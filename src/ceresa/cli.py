@@ -221,6 +221,21 @@ def _cmd_frobdet(params: dict) -> dict:
     }
 
 
+def _cmd_check_cert(params: dict) -> dict:
+    """Re-validate a serialized certificate file; "ok" is false (exit 4)
+    if any check fails."""
+    path = params["path"]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ValueError(f"cannot read certificate: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"cannot read certificate: {e}: {path!r}") from None
+    ok, reason = ffcert.validate_certificate(text)
+    return {"ok": ok, "reason": reason}
+
+
 _COMMANDS = {
     "decide": _cmd_decide,
     "decide-t": _cmd_decide_t,
@@ -231,6 +246,7 @@ _COMMANDS = {
     "count": _cmd_count,
     "lpoly": _cmd_lpoly,
     "frobdet": _cmd_frobdet,
+    "check-cert": _cmd_check_cert,
 }
 
 
@@ -330,25 +346,13 @@ def _render(config: CliConfig, payload: str) -> tuple[str, str | None]:
     return table.getvalue(), cert
 
 
-def check_certificate(path: str) -> int:
-    """Validate a serialized certificate file; exit 0 iff fully valid."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        return _emit(canonical_json({"error": f"cannot read certificate: {e}"}) + "\n", 2)
-    ok, reason = ffcert.validate_certificate(text)
-    return _emit(canonical_json({"ok": ok, "reason": reason}) + "\n", 0 if ok else 4)
-
-
 def run(config: CliConfig) -> int:
     """Dispatch a parsed command; prints the result and returns the exit code."""
     cache_dir = config.cache_path
     rendered = None
     try:
-        if config.command == "check-cert":
-            return check_certificate(config.parameters["path"])
-        key = None if cache_dir is None else _cache_key(config)
+        # check-cert is never cached: a key cannot see the file's contents
+        key = None if cache_dir is None or config.command == "check-cert" else _cache_key(config)
         payload = None if key is None else _cache_lookup(config, key)
         if payload is not None:
             try:
@@ -370,7 +374,9 @@ def run(config: CliConfig) -> int:
         return _fail(config, str(e), 3)
     except InvariantViolation as e:
         return _fail(config, str(e), 4)
-    return _emit(text, 0)
+    # a certificate that fails a check is reported on stdout, with exit 4
+    failed_check = config.command == "check-cert" and not json.loads(payload)["ok"]
+    return _emit(text, 4 if failed_check else 0)
 
 
 def _fail(config: CliConfig, message: str, code: int) -> int:

@@ -8,7 +8,8 @@ V = H^3(J)(2) + H^1(C)(1) (from the pairing (r, q/r) of the Frobenius roots
 of L_E and L_P: 12 of the 20 triple products are q r, and power sums give
 the other 8, with no matrices), and assembly, search, and independent
 re-validation of infinite-order certificates.  The search lifts only at
-primes v where #E(F_v), a multiple of sigma_order, has a usable ell.
+primes v = 2 (mod 3) where v + 1 = #E(F_v), a multiple of sigma_order, has
+a usable ell: at v = 1 (mod 3) sigma has order dividing 3.
 """
 
 from __future__ import annotations
@@ -383,10 +384,6 @@ _EVIDENCE = (
 )
 
 
-def _good_primes(limit: int, delta: int) -> list[int]:
-    return [p for p in primes_up_to(limit) if (6 * delta) % p != 0]
-
-
 def _witness_failure(delta: int, v: int | None = None, ell: int | None = None,
                      q: int | None = None) -> str | None:
     """The first condition that (v, ell, q) fails as a witness for a curve
@@ -414,18 +411,6 @@ def _witness_failure(delta: int, v: int | None = None, ell: int | None = None,
     return None
 
 
-def _ell_can_divide(ai: int, bi: int, v: int, ell: int | None) -> bool:
-    """Whether some candidate ell can divide sigma_order at the good prime v:
-    sigma_order divides #E(F_v) for E: y^2 = x^3 + 16(a^2 - 4b), so the
-    candidates are the hinted ell, or else the primes of #E(F_v) above 3
-    and other than v."""
-    d_e = genus1_weierstrass_d(ai % v, bi % v) % v
-    n = group_order_fp(WeierstrassCurveFp(d_e, v))
-    if ell is not None:
-        return ell != v and n % ell == 0
-    return any(f > 3 and f != v for f in small_prime_divisors(n))
-
-
 def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
                      q: int | None = None, V_max: int = 200) -> InfinitudeCertificate:
     """An independently checkable witness that the Ceresa cycle of
@@ -435,9 +420,15 @@ def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
 
     With hints, each is validated and the failing check is named in
     InvalidHint; unhinted slots are searched in ascending lexicographic
-    (v, ell, q) order up to V_max.  A searched v where no candidate ell
-    divides #E(F_v), a multiple of sigma_order, is skipped before its lift
-    sum: no ell could come from it, so the order and result are unchanged.
+    (v, ell, q) order up to V_max.  A searched v is lifted only if
+    v = 2 (mod 3) and v + 1 has a candidate ell (the hinted one, or else a
+    prime above 3), since sigma_order divides v + 1 or 3:
+    - v = 2 (mod 3): cubing permutes F_v, so E: y^2 = x^3 + d has one point
+      above each y, and #E(F_v) = v + 1 for every curve.
+    - v = 1 (mod 3): F_v holds a cube root of unity zeta; y -> zeta y maps
+      the lift set and the ramified points to themselves and induces an
+      automorphism alpha of E fixing O, with 1 + alpha + alpha^2 = 0.  Each
+      orbit of 3 points sums to O, so sigma lies in ker(1 - alpha), of order 3.
     Raises NoCertificateFound when the search is exhausted — which is NOT a
     proof of torsion.  A v, q or V_max above PRIME_LIMIT raises ValueError
     naming it."""
@@ -451,10 +442,11 @@ def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
         raise InvalidHint(reason)
 
     hinted = v is not None and ell is not None and q is not None
-    primes = _good_primes(V_max, delta)
-    for v_try in [v] if v is not None else primes:
-        if v is None and not _ell_can_divide(ai, bi, v_try, ell):
-            continue
+    primes = [p for p in primes_up_to(V_max) if (6 * delta) % p]
+    searched = [p for p in primes if p % 3 == 2 and any(
+        f > 3 and (p + 1) % f == 0
+        for f in ([ell] if ell is not None else small_prime_divisors(p + 1)))]
+    for v_try in [v] if v is not None else searched:
         lift = lift_sum(ai, bi, v_try)
         n = lift.sigma_order
         ells = [ell] if ell is not None else small_prime_divisors(n)

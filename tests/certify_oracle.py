@@ -1,8 +1,9 @@
 """The certificate search with a lift sum at every good v, for tests.
 
-The library skips a v whose #E(F_v) has no prime that could divide
-sigma_order; this oracle lifts at every good v in ascending order and must
-find the same (v, ell, q) witness."""
+The library lifts only at v = 2 (mod 3) where v + 1 = #E(F_v) has a prime
+that could divide sigma_order, since sigma_order divides 3 at v = 1 (mod 3);
+this oracle lifts at every good v in ascending order and must find the same
+(v, ell, q) witness."""
 
 from fractions import Fraction
 

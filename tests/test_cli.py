@@ -128,6 +128,30 @@ def test_check_cert_unreadable_file(capsys, tmp_path):
     assert "cannot read certificate" in obj["error"]
 
 
+def test_check_cert_non_utf8_file_names_the_path(capsys, tmp_path):
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_bytes(b"\xffceresa-infinitude-certificate v1\n")
+    code, obj = _run_json(capsys, "check-cert", str(cert_path))
+    assert code == 2
+    assert obj["error"].startswith("cannot read certificate: 'utf-8' codec can't decode")
+    assert obj["error"].endswith(f": {str(cert_path)!r}")
+
+
+def test_check_cert_table(capsys, tmp_path):
+    """--table prints key: value lines, and an error goes to stderr, as for
+    every other subcommand; the exit codes are those of JSON mode."""
+    cert_path = tmp_path / "cert.txt"
+    assert _run(capsys, "certify", "--a", "4", "--b", "1", "--out", str(cert_path))[0] == 0
+    assert _run(capsys, "check-cert", str(cert_path), "--table") == (
+        0, "ok: True\nreason: certificate verified\n", "")
+    cert_path.write_text(cert_path.read_text().replace("sigma_order = 10", "sigma_order = 5"))
+    assert _run(capsys, "check-cert", str(cert_path), "--table") == (
+        4, "ok: False\nreason: sigma_order mismatch\n", "")
+    code, out, err = _run(capsys, "check-cert", str(tmp_path / "missing.txt"), "--table")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read certificate: [Errno 2]")
+
+
 def test_certify_unwritable_out_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "cert.txt"
     code, obj = _run_json(capsys, "certify", "--a", "4", "--b", "1", "--out", str(target))

@@ -380,6 +380,29 @@ def test_lift_sum_rejects_v_above_the_prime_limit():
 
 
 # ---------------------------------------------------------------------------
+# at a good v = 1 (mod 3), y -> zeta y induces an automorphism alpha of E of
+# order 3 with 1 + alpha + alpha^2 = 0, so sigma lies in ker(1 - alpha) and
+# its order divides 3: the certificate search never lifts there
+
+def _sigma_orders_at_v_1_mod_3(a, b):
+    delta = ffcert._good_int_model(a, b)[2]
+    return [lift_sum(a, b, v).sigma_order
+            for v in primes_up_to(200) if v % 3 == 1 and delta % v]
+
+
+def test_sigma_order_divides_3_at_v_1_mod_3_on_the_t_box():
+    orders = [n for t in _t_box(8) for n in _sigma_orders_at_v_1_mod_3(2 * t, 1)]
+    assert len(orders) > 1000 and set(orders) <= {1, 3}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30))
+def test_sigma_order_divides_3_at_v_1_mod_3_hypothesis(a, b):
+    assume(b != 0 and a * a != 4 * b)
+    assert set(_sigma_orders_at_v_1_mod_3(a, b)) <= {1, 3}
+
+
+# ---------------------------------------------------------------------------
 # the divisor-class oracle: 2D = pi^*(sigma) checked by brute-force
 # Riemann-Roch linear algebra, independent of the group-law shortcut
 
@@ -760,19 +783,29 @@ def test_certify_partial_hints():
 
 
 # ---------------------------------------------------------------------------
-# the certificate search skips v where no ell can divide sigma_order
+# the certificate search lifts only at v = 2 (mod 3) where v + 1 has an ell
+
+def _t_box(B):
+    box = {Fraction(m, n) for n in range(1, B + 1) for m in range(-B, B + 1)}
+    return sorted(box - {1, -1})
+
 
 def _infinite_t_box(B):
-    box = {Fraction(m, n) for n in range(1, B + 1) for m in range(-B, B + 1)}
-    return sorted(t for t in box - {1, -1} if decide_ceresa_t(t).status == "infinite")
+    return [t for t in _t_box(B) if decide_ceresa_t(t).status == "infinite"]
 
 
 def test_certify_search_matches_lifting_at_every_v():
     """Over the t-box with B = 8, and for (4, 1) with ell hinted, the search
-    finds the certificate that lifting at every good v finds."""
-    cases = [(2 * t, 1, None) for t in _infinite_t_box(8)] + [(4, 1, ell) for ell in (5, 7, 11)]
+    finds the certificate that lifting at every good v finds.  No
+    v = 2 (mod 3) below 200 has 13 | v + 1, so with ell = 13 neither finds
+    one."""
+    hinted = (5, 7, 11, 13, 17, 19, 23)
+    cases = [(2 * t, 1, None) for t in _infinite_t_box(8)] + [(4, 1, ell) for ell in hinted]
     for a, b, ell in cases:
         expected = search_every_v(a, b, ell)
+        if ell == 13:
+            assert not [v for v in primes_up_to(200) if v % 3 == 2 and (v + 1) % 13 == 0]
+            assert expected is None
         try:
             cert = certify_infinite(a, b, ell=ell)
         except NoCertificateFound:
@@ -783,8 +816,8 @@ def test_certify_search_matches_lifting_at_every_v():
 
 def test_certify_search_never_lifts_where_e_has_order_v_plus_1(monkeypatch):
     """At v = 5, 11, 17, 23 the order #E(F_v) = v + 1 is 6, 12, 18 or 24:
-    no ell > 3 divides it, so a search never lifts there; a hinted v is
-    still lifted."""
+    no ell > 3 divides it, so a search never lifts there, nor at any
+    v = 1 (mod 3); a hinted v of either kind is still lifted."""
     lifted = []
 
     def counting_lift_sum(a, b, v):
@@ -795,15 +828,22 @@ def test_certify_search_never_lifts_where_e_has_order_v_plus_1(monkeypatch):
     witnesses = {certify_infinite(2 * t, 1).v for t in _infinite_t_box(4)}
     assert max(witnesses) > 23 and lifted
     assert not {5, 11, 17, 23} & set(lifted)
+    assert {v % 3 for v in lifted} == {2}
+    for v in (5, 7):
+        lifted.clear()
+        with pytest.raises(NoCertificateFound):
+            certify_infinite(4, 1, v=v)
+        assert lifted == [v]
     lifted.clear()
-    with pytest.raises(NoCertificateFound):
-        certify_infinite(4, 1, v=5)
-    assert lifted == [5]
+    with pytest.raises(InvalidHint, match="^ell does not divide sigma_order$"):
+        certify_infinite(4, 1, v=31, ell=5, q=7)
+    assert lifted == [31]
 
 
 def test_certify_hint_that_cannot_divide_and_exhausted_searches_exit_codes(capsys):
-    code = main(["certify", "--a", "4", "--b", "1", "--v", "29", "--ell", "7", "--q", "11"])
-    assert code == 2 and "ell does not divide sigma_order" in capsys.readouterr().out
+    for v, ell, q in (("29", "7", "11"), ("31", "5", "7")):  # v = 31 = 1 (mod 3)
+        code = main(["certify", "--a", "4", "--b", "1", "--v", v, "--ell", ell, "--q", q])
+        assert code == 2 and "ell does not divide sigma_order" in capsys.readouterr().out
     for a in ("11/8", "-11/8"):  # t = 11/16 and -11/16
         assert main(["certify", f"--a={a}", "--b=1"]) == 3
         assert "does not prove torsion" in capsys.readouterr().out
