@@ -1,14 +1,15 @@
 """Exact scalar arithmetic and exact linear algebra.
 
-Primes, factoring and k-th-power parts, exact integer and rational k-th
-roots, the rational text form and its parser, cube roots mod p, integer
-polynomials with their roots mod p and their factors over Q (which give
-their rational roots) and fraction-free determinants.  Every operation in
-this module is exact; no floating point anywhere.
+Primes, factoring and k-th-power parts (trial division; sympy only for a
+composite cofactor), exact integer and rational k-th roots, the rational
+text form and its parser, cube roots mod p, integer polynomials with their
+roots mod p and their factors over Q (which give their rational roots) and
+fraction-free determinants.  Every operation here is exact; no floating point.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -43,10 +44,11 @@ def _sieve(bound: int) -> bytearray:
     return flags
 
 
-# Primality below this bound is one lookup in a sieve built once; it covers
-# every prime the torsion-locus witness searches try (their cap is 10 000).
+# Primality below this bound is one lookup in a sieve built once; its primes
+# divide every trial factoring and serve the torsion-locus witness searches.
 _SIEVE_BOUND = 10_000
 _PRIME_FLAGS = _sieve(_SIEVE_BOUND)
+_PRIMES = tuple(i for i, flag in enumerate(_PRIME_FLAGS) if flag)
 
 
 def is_prime(n: int) -> bool:
@@ -78,57 +80,55 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, by sieve."""
-    if bound < 2:
-        return []
-    flags = _PRIME_FLAGS if bound <= _SIEVE_BOUND else _sieve(bound)
-    return [i for i in range(bound + 1) if flags[i]]
+def primes_up_to(bound: int) -> tuple[int, ...]:
+    """All primes <= bound, ascending: for bound <= 10 000 a slice of the
+    shared sieve primes, above it a new sieve."""
+    if bound > _SIEVE_BOUND:
+        return tuple(i for i, flag in enumerate(_sieve(bound)) if flag)
+    return _PRIMES[:bisect.bisect_right(_PRIMES, bound)]
 
 
 def _trial_factor(n: int, k: int) -> tuple[dict[int, int], int]:
-    """({q: e}, r) with n = r * prod q^e, by trial division of n >= 1 by
-    q = 2, 3, 4, ... while q^k <= the part of n left.  Every prime of r is
-    at least the last q, whose k-th power exceeds r: so no p^k divides r,
-    and for k = 2, r is 1 or a prime."""
-    found, q = {}, 2
-    while q**k <= n:
+    """({q: e}, r) with n = r * prod q^e, by trial division of n >= 1 by the
+    primes q <= 10 000 while q^k <= the part of n left.  Every prime of r
+    exceeds 10 000, or is at least the q where the loop stopped, whose k-th
+    power exceeds r: either way no p^k with p <= 10 000 divides r."""
+    found = {}
+    for q in _PRIMES:
+        if q**k > n:
+            break
         if n % q == 0:
             e = 0
             while n % q == 0:
                 n //= q
                 e += 1
             found[q] = e
-        q += 1
     return found, n
 
 
-def small_prime_divisors(n: int) -> list[int]:
-    """The distinct primes of n >= 1, ascending, by trial division: for small
-    n such as the group orders #E(F_p) <= p + 1 + 2 sqrt(p)."""
-    found, rest = _trial_factor(n, 2)
-    return list(found) + ([rest] if rest > 1 else [])
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
+    """{prime: exponent} of |n| != 0, keys ascending.  Trial division leaves
+    r = 1, a prime, or primes above 10 000 only, so an r < 10 000^2 is 1 or
+    prime; only an r that is_prime does not prove prime goes to sympy."""
     if n == 0:
         raise ValueError("cannot factor 0")
+    found, r = _trial_factor(abs(n), 2)
+    if r < _SIEVE_BOUND**2 or (r < PRIMALITY_BOUND and is_prime(r)):
+        return found | ({r: 1} if r > 1 else {})
     from sympy import factorint
 
-    return {int(p): int(e) for p, e in factorint(abs(n)).items()}
+    return found | {int(p): int(e) for p, e in sorted(factorint(r).items())}
 
 
 def power_part(n: int, k: int) -> int:
-    """The largest m >= 1 with m**k dividing n, for n nonzero and k >= 1.
-
-    When |n| < 1000^k, a prime p with p^k | n is below 1000, so trial
-    division needs fewer than 1000 steps and no sympy; a larger n is
-    factored by factorize."""
+    """The largest m >= 1 with m**k | n, for n nonzero and k >= 1.  Trial
+    division leaves a cofactor r with no p^k | r for p <= 10 000, and a larger
+    p has p^k > 10 000^k, so only an r at least 10 000^k is factored."""
     if n == 0:
         raise ValueError("power_part of 0")
-    n = abs(n)
-    found = factorize(n) if n >= 1000**k else _trial_factor(n, k)[0]
+    found, r = _trial_factor(abs(n), k)
+    if r >= _SIEVE_BOUND**k:
+        found |= factorize(r)
     return math.prod(p ** (e // k) for p, e in found.items())
 
 

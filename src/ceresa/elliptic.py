@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .arith import (
     IntPolynomial,
+    factorize,
     int_root,
     inv_mod,
     is_prime,
@@ -25,7 +26,6 @@ from .arith import (
     primitive_int_poly,
     rational_root,
     rational_roots,
-    small_prime_divisors,
 )
 
 
@@ -192,12 +192,12 @@ def group_order_fp(E: WeierstrassCurveFp) -> int:
 def order_fp(E: WeierstrassCurveFp, P: CurvePoint) -> int:
     """Exact order of P in E(F_p): start from #E(F_p) and strip primes.
 
-    #E(F_p) <= p + 1 + 2 sqrt(p) is small, so its primes come from trial
-    division."""
+    #E(F_p) <= p + 1 + 2 sqrt(p) is small, so factorize finds its primes by
+    trial division alone."""
     if P.inf:
         return 1
     n = group_order_fp(E)
-    for q in small_prime_divisors(n):
+    for q in factorize(n):
         while n % q == 0 and mul(E, n // q, P).inf:
             n //= q
     return n

@@ -25,13 +25,13 @@ from .arith import (
     InvariantViolation,
     Rational,
     cube_root_table,
+    factorize,
     inv_mod,
     is_prime,
     parse_rational,
     poly_mul,
     primes_up_to,
     rat_str,
-    small_prime_divisors,
 )
 from .elliptic import (
     CurvePoint,
@@ -445,11 +445,11 @@ def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
     primes = [p for p in primes_up_to(V_max) if (6 * delta) % p]
     searched = [p for p in primes if p % 3 == 2 and any(
         f > 3 and (p + 1) % f == 0
-        for f in ([ell] if ell is not None else small_prime_divisors(p + 1)))]
+        for f in ([ell] if ell is not None else factorize(p + 1)))]
     for v_try in [v] if v is not None else searched:
         lift = lift_sum(ai, bi, v_try)
         n = lift.sigma_order
-        ells = [ell] if ell is not None else small_prime_divisors(n)
+        ells = [ell] if ell is not None else factorize(n)
         ells = [f for f in ells if f > 3 and f != v_try and n % f == 0]
         if v is not None and ell is not None and not ells:
             raise InvalidHint("ell does not divide sigma_order")

@@ -26,6 +26,7 @@ from .arith import (
     InvariantViolation,
     cube_root_table,
     factor_over_q,
+    factorize,
     poly_add,
     poly_div_exact,
     poly_eval,
@@ -35,7 +36,6 @@ from .arith import (
     primitive_int_poly,
     rational_root,
     roots_mod_p,
-    small_prime_divisors,
 )
 from .elliptic import (
     CurvePoint,
@@ -294,7 +294,7 @@ def _certify_locus_factor(h: IntPolynomial, N: int) -> tuple[int, int]:
     root would be a point of order N in E(F_p), which Lagrange rules out, so
     the skip never passes over a witness.  Returns the two witness primes."""
     found = []
-    primes_of_N = small_prime_divisors(N)
+    primes_of_N = factorize(N)
     for p in _LOCUS_PRIMES:
         if (6 * N) % p == 0:
             continue

@@ -7,7 +7,7 @@ this oracle lifts at every good v in ascending order and must find the same
 
 from fractions import Fraction
 
-from ceresa.arith import primes_up_to, rat_str, small_prime_divisors
+from ceresa.arith import factorize, primes_up_to, rat_str
 from ceresa.ffcert import frobenius_det, lift_sum
 from ceresa.picard import canonical_model, discriminant
 
@@ -22,7 +22,7 @@ def search_every_v(a, b, ell=None, V_max=200):
     for v in primes:
         lift = lift_sum(ai, bi, v)
         n = lift.sigma_order
-        for e in [ell] if ell is not None else small_prime_divisors(n):
+        for e in [ell] if ell is not None else factorize(n):
             if e <= 3 or e == v or n % e:
                 continue
             for q in primes:

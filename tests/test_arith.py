@@ -30,7 +30,6 @@ from ceresa.arith import (
     rat_str,
     rational_roots,
     roots_mod_p,
-    small_prime_divisors,
 )
 from modp_oracle import roots_mod_p_brute
 
@@ -69,23 +68,28 @@ def test_is_prime_psi_12_and_the_bound():
 
 
 def test_primes_up_to():
-    assert primes_up_to(1) == []
-    assert primes_up_to(2) == [2]
-    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_up_to(1) == ()
+    assert primes_up_to(2) == (2,)
+    assert primes_up_to(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     ps = primes_up_to(10_000)
     assert len(ps) == 1229 and ps[-1] == 9973
+    assert primes_up_to(10_007)[-2:] == (9973, 10007)
 
 
 def test_factorize_known():
     assert factorize(1) == {}
     assert factorize(2**5 * 3**2 * 97) == {2: 5, 3: 2, 97: 1}
     assert factorize(9973 * 9973) == {9973: 2}
+    assert factorize(1511) == {1511: 1}
+    assert factorize(-12) == {2: 2, 3: 1}
 
 
 @given(st.integers(min_value=1, max_value=10**6))
 @settings(max_examples=200, deadline=None)
 def test_factorize_reconstructs(n):
+    """The primes come out ascending, as sympy.primefactors lists them."""
     fac = factorize(n)
+    assert list(fac) == primefactors(n)
     prod = 1
     for p, e in fac.items():
         assert is_prime(p) and e >= 1
@@ -93,17 +97,22 @@ def test_factorize_reconstructs(n):
     assert prod == n
 
 
-@given(st.integers(min_value=1, max_value=10**6))
-@settings(max_examples=200, deadline=None)
-def test_small_prime_divisors_match_sympy(n):
-    assert small_prime_divisors(n) == primefactors(n)
+def test_factorize_sends_only_hard_cofactors_to_sympy(monkeypatch):
+    """Trial division by the primes up to 10 000 leaves a cofactor that is
+    1, a prime below 10^8, a prime that is_prime proves, or one with only
+    primes above 10 000; sympy sees only the last kind, or a cofactor at or
+    above PRIMALITY_BOUND."""
+    import sympy
 
-
-def test_small_prime_divisors_known():
-    assert small_prime_divisors(1) == []
-    assert small_prime_divisors(2**5 * 3**2 * 97) == [2, 3, 97]
-    assert small_prime_divisors(9973 * 9973) == [9973]
-    assert small_prime_divisors(1511) == [1511]
+    real, calls = sympy.factorint, []
+    monkeypatch.setattr(sympy, "factorint", lambda n: calls.append(n) or real(n))
+    for n, hard in ((2**5 * 3**2 * 97, False), (9973 * 10007, False),
+                    (2 * (10**12 + 39), False), (10007 * 10009, True),
+                    (2**89 - 1, True)):
+        calls.clear()
+        fac = factorize(n)
+        assert len(calls) == int(hard), n
+        assert fac == real(n) and list(fac) == sorted(fac), n
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,15 +136,19 @@ def _power_part_by_factorint(n, k):
 @settings(max_examples=60, deadline=None)
 @given(m0=st.integers(1, 3000), c=st.integers(1, 10**6), sign=st.sampled_from([1, -1]))
 def test_power_part_matches_factorint_on_both_sides_of_the_trial_bound(k, m0, c, sign):
-    """Below 1000^k power_part trial-divides and never calls factorize;
-    at or above it, it factors.  Either way it agrees with sympy."""
+    """power_part trial-divides by the primes up to 10 000 and calls
+    factorize only on a cofactor of at least 10 000^k: 9973^k makes no call
+    and 10007^k makes one.  Either way it agrees with sympy."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
-        for n in (sign * m0**k * c, sign * (1000**k - 1), sign * 1000**k, sign * 997**k, 1009**k):
+        for n, factors in ((sign * m0**k * c, None), (sign * (1000**k - 1), None),
+                           (sign * 1000**k, None), (sign * 997**k, None), (1009**k, None),
+                           (sign * 9973**k, False), (sign * 10007**k, True)):
             calls.clear()
             assert power_part(n, k) == _power_part_by_factorint(n, k), n
-            assert bool(calls) == (abs(n) >= 1000**k), n
+            if factors is not None:
+                assert bool(calls) == factors, n
 
 
 def test_power_part_of_zero_is_an_error():

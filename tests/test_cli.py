@@ -477,6 +477,8 @@ for argv in (["certify", "--a", "4", "--b", "1", "--out", cert], ["check-cert", 
              ["lpoly", "--a", "1", "--b", "1", "--p", "151"],
              ["frobdet", "--a", "1", "--b", "1", "--q", "11", "--ell", "7"],
              ["decide", "--a", "1", "--b", "1"],
+             ["decide", "--a", "0", "--b", "550000000000000000000381000000000000000000063"],
+             ["height", "--d", "36", "--x", "-3", "--y", "-3"], ["scan", "--B", "12"],
              ["enumerate-torsion", "--N-max", "4"]):
     code = main(argv)
     print(argv[0], code, "sympy" in sys.modules, file=sys.stderr)
@@ -484,8 +486,10 @@ for argv in (["certify", "--a", "4", "--b", "1", "--out", cert], ["check-cert", 
 
 
 def test_finite_field_commands_do_not_import_sympy(tmp_path):
-    """The finite-field commands on small inputs finish without sympy in
-    sys.modules; the torsion locus, run last, still loads it."""
+    """The finite-field commands, decide (with b a 45-digit semiprime too),
+    height and scan on small inputs finish without sympy in sys.modules:
+    their integers factor by trial division alone.  The torsion locus, run
+    last, still loads it."""
     src = str(Path(ceresa.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k != "CERESA_CACHE_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -494,7 +498,8 @@ def test_finite_field_commands_do_not_import_sympy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [
         "certify 0 False", "check-cert 0 False", "lpoly 0 False", "frobdet 0 False",
-        "decide 0 False", "enumerate-torsion 0 True"]
+        "decide 0 False", "decide 0 False", "height 0 False", "scan 0 False",
+        "enumerate-torsion 0 True"]
 
 
 def test_usage_errors_exit_64(capsys):

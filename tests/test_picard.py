@@ -20,7 +20,7 @@ from ceresa.arith import (
     roots_mod_p,
 )
 from ceresa.elliptic import mul, on_curve
-from ceresa import picard
+from ceresa import arith, picard
 from ceresa.picard import (
     TORSION_ORDER_LIMIT,
     DegenerateCurve,
@@ -234,6 +234,29 @@ def test_canonical_model_is_reduced():
     assert canonical_model(Fraction(2**6), Fraction(3)) == (64, 3)
     # v_2(a) = 13, v_2(b) = 12: one 2 leaves, bounded by b
     assert canonical_model(Fraction(2**13 * 3), Fraction(2**12 * 5)) == (2**7 * 3, 5)
+
+
+# two 23-digit primes: their product lies between 1000^12 and 10 000^12
+_P23, _Q23 = 11000000000000000000003, 50000000000000000000021
+
+
+def test_canonical_model_of_a_45_digit_semiprime_never_factors(monkeypatch):
+    """For a = 0, gcd(a^2, b) = b.  Below 10 000^12 no 12th power of a prime
+    above 10 000 fits, so trial division decides u = 1 without factorize."""
+    assert is_prime(_P23) and is_prime(_Q23)
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(arith, "factorize", refuse)
+    assert canonical_model(Fraction(0), Fraction(_P23 * _Q23)) == (0, _P23 * _Q23)
+
+
+def test_canonical_model_factors_a_12th_power_above_the_trial_primes(monkeypatch):
+    real, calls = arith.factorize, []
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or real(n))
+    assert canonical_model(Fraction(0), Fraction(10007**12 * 5)) == (0, 5)  # u = 10007
+    assert calls == [10007**12]
 
 
 # ---------------------------------------------------------------------------
