@@ -97,6 +97,20 @@ def test_factorize_reconstructs(n):
     assert prod == n
 
 
+@given(st.integers(min_value=1, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_small_prime_divisors_match_sympy(n):
+    """The prime divisors are the keys of factorize, in ascending order."""
+    assert list(factorize(n)) == primefactors(n)
+
+
+def test_small_prime_divisors_known():
+    assert list(factorize(1)) == []
+    assert list(factorize(2**5 * 3**2 * 97)) == [2, 3, 97]
+    assert list(factorize(9973 * 9973)) == [9973]
+    assert list(factorize(1511)) == [1511]
+
+
 def test_factorize_sends_only_hard_cofactors_to_sympy(monkeypatch):
     """Trial division by the primes up to 10 000 leaves a cofactor that is
     1, a prime below 10^8, a prime that is_prime proves, or one with only
