@@ -80,8 +80,11 @@ class CliConfig:
 # ---------------------------------------------------------------------------
 # command implementations, each returning a JSON-ready dict
 
-def _verdict_fields(verdict) -> dict:
-    out = {"status": verdict.status, "evidence": verdict.evidence}
+def _decide_payload(curve: PicardCurve, verdict) -> dict:
+    """The fields of `decide` for curve and its verdict."""
+    inv = invariants(curve)
+    out = {"a": rat_str(curve.a), "b": rat_str(curve.b), "delta": rat_str(inv.delta),
+           "j": rat_str(inv.j), "status": verdict.status, "evidence": verdict.evidence}
     if verdict.q_order is not None:
         out["q_order"] = verdict.q_order
     return out
@@ -92,31 +95,14 @@ def _cmd_decide(params: dict) -> dict:
     # reduce to the canonical model first; the verdict is invariant
     ca, cb = canonical_model(params["a"], params["b"])
     curve = PicardCurve(Fraction(ca), Fraction(cb))
-    inv = invariants(curve)
-    out = {
-        "a": rat_str(curve.a),
-        "b": rat_str(curve.b),
-        "delta": rat_str(inv.delta),
-        "j": rat_str(inv.j),
-    }
-    out.update(_verdict_fields(decide_ceresa(curve)))
-    return out
+    return _decide_payload(curve, decide_ceresa(curve))
 
 
 def _cmd_decide_t(params: dict) -> dict:
+    # the line (2t, 1) itself, not its canonical model: a = 2t in the output
     t = params["t"]
     verdict = decide_ceresa_t(t)
-    curve = PicardCurve(2 * t, Fraction(1))
-    inv = invariants(curve)
-    out = {
-        "t": rat_str(t),
-        "a": rat_str(curve.a),
-        "b": rat_str(curve.b),
-        "delta": rat_str(inv.delta),
-        "j": rat_str(inv.j),
-    }
-    out.update(_verdict_fields(verdict))
-    return out
+    return dict(_decide_payload(PicardCurve(2 * t, Fraction(1)), verdict), t=rat_str(t))
 
 
 def _cmd_certify(params: dict) -> dict:

@@ -58,7 +58,8 @@ class WeierstrassCurveFp:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Affine point (x, y) or the point at infinity (inf=True)."""
+    """Affine point (x, y) or the point at infinity (inf=True).  It carries
+    no curve: the curve (over Q or F_p) is passed alongside."""
 
     x: object = 0
     y: object = 0
@@ -72,20 +73,7 @@ class CurvePoint:
         return "O" if self.inf else f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
-class Genus1Point:
-    """Point on the genus-1 model y^3 = x^2 + ax + b (or its infinity)."""
-
-    x: object = 0
-    y: object = 0
-    inf: bool = False
-
-    @classmethod
-    def infinity(cls) -> "Genus1Point":
-        return cls(0, 0, True)
-
-    def __repr__(self):
-        return "O" if self.inf else f"({self.x}, {self.y})"
+Genus1Point = CurvePoint  # a point on the genus-1 model y^3 = x^2 + ax + b
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 Point counts of y^3 = x^4 + ax^2 + b over F_{p^i} (i <= 3), L-polynomials
 in O(p^2) from the splitting Jac(C) ~ E x P into the genus-1 quotient and
 the Prym surface, the lift-set sum sigma on the genus-1 quotient whose
-pushforward is 2D, the exact Frobenius determinant det(Fr_q - 1) on
-V = H^3(J)(2) + H^1(C)(1) (from the pairing (r, q/r) of the Frobenius roots
-of L_E and L_P: 12 of the 20 triple products are q r, and power sums give
-the other 8, with no matrices), and assembly, search, and independent
-re-validation of infinite-order certificates.  The search lifts only at
-primes v = 2 (mod 3) where v + 1 = #E(F_v), a multiple of sigma_order, has
-a usable ell: at v = 1 (mod 3) sigma has order dividing 3.
+pushforward is 2D (#C(F_p) and the lift set are read from the same fibres
+of the double cover w = x^2 onto that quotient), the exact Frobenius
+determinant det(Fr_q - 1) on V = H^3(J)(2) + H^1(C)(1) (from the pairing
+(r, q/r) of the Frobenius roots of L_E and L_P: 12 of the 20 triple
+products are q r, and power sums give the other 8, with no matrices), and
+assembly, search, and independent re-validation of infinite-order
+certificates.  The search lifts only at primes v = 2 (mod 3) where
+v + 1 = #E(F_v), a multiple of sigma_order, has a usable ell: at
+v = 1 (mod 3) sigma has order dividing 3.
 """
 
 from __future__ import annotations
@@ -111,6 +113,20 @@ def _count_fp2(av: int, bv: int, p: int) -> int:
     return total
 
 
+def _fibres(av: int, bv: int, p: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The fibres of the double cover (x, y) -> (w, y) = (x^2, y) from
+    C: y^3 = x^4 + av x^2 + bv onto y^3 = w^2 + av w + bv over F_p: the y
+    above x = 0, and the (w, y) above x = 1 .. (p-1)/2.  x and -x give the
+    same (w, y), so each pair stands for two affine points of C."""
+    roots = cube_root_table(p)
+    pairs = []
+    for x in range(1, (p + 1) // 2):
+        w = x * x % p
+        for y in roots.get((w * w + av * w + bv) % p, ()):
+            pairs.append((w, y))
+    return roots.get(bv, []), pairs
+
+
 def rat_mod_p(r, p: int) -> int:
     """The residue of an int or Fraction r mod the prime p."""
     if not is_prime(p):
@@ -123,9 +139,10 @@ def rat_mod_p(r, p: int) -> int:
 def count_curve(a, b, p: int, i: int) -> CountRecord:
     """#C(F_{p^i}) for C: y^3 = x^4 + ax^2 + b, as 1 + sum over x of the
     number of cube roots of x^4 + ax^2 + b (one smooth point at infinity).
-    Rational a and b are reduced mod p first.  Over F_{p^3} the count is
-    read off the L-polynomial, whose unknowns the counts over F_p and
-    F_{p^2} fix."""
+    Rational a and b are reduced mod p first.  Over F_p the sum is read off
+    the fibres of w = x^2 that lift_sum also walks: 1 + #(y above x = 0)
+    + 2 #(pairs (w, y)).  Over F_{p^3} the count is read off the
+    L-polynomial, whose unknowns the counts over F_p and F_{p^2} fix."""
     if i not in (1, 2, 3):
         raise ValueError("extension degree must be 1, 2, or 3")
     av, bv = rat_mod_p(a, p), rat_mod_p(b, p)
@@ -136,11 +153,8 @@ def count_curve(a, b, p: int, i: int) -> CountRecord:
         # cubing is a bijection: exactly one y above every x
         n = size + 1
     elif i == 1:
-        roots = cube_root_table(p)
-        n = 1
-        for x in range(p):
-            fx = (pow(x, 4, p) + av * x * x + bv) % p
-            n += len(roots.get(fx, ()))
+        ys, pairs = _fibres(av, bv, p)
+        n = 1 + len(ys) + 2 * len(pairs)
     elif i == 2:
         n = _count_fp2(av, bv, p)
     else:
@@ -239,13 +253,8 @@ def lift_sum(a, b, v: int) -> LiftSumResult:
     _check_good(v, delta, "v")
     av, bv = ai % v, bi % v
 
-    roots = cube_root_table(v)
-    ram = tuple(Genus1Point(0, y) for y in roots.get(bv, []))
-    # x and -x give the same (x^2, y): half the x, each w = x^2 once
-    lift = []
-    for x in range(1, (v + 1) // 2):
-        w = x * x % v
-        lift += [(w, y) for y in roots.get((w * w + av * w + bv) % v, [])]
+    ys, lift = _fibres(av, bv, v)
+    ram = tuple(Genus1Point(0, y) for y in ys)
 
     d_e = genus1_weierstrass_d(av, bv) % v
     Ew = WeierstrassCurveFp(d_e, v)
@@ -388,7 +397,8 @@ def _witness_failure(delta: int, v: int | None = None, ell: int | None = None,
                      q: int | None = None) -> str | None:
     """The first condition that (v, ell, q) fails as a witness for a curve
     of discriminant delta, or None: v and q good primes, ell a prime above
-    3, and ell different from v and q.  A slot left as None is skipped."""
+    3 and below PRIMALITY_BOUND, and ell different from v and q.  A slot
+    left as None is skipped."""
     if v is not None:
         if not is_prime(v):
             return "v is not prime"
@@ -397,6 +407,8 @@ def _witness_failure(delta: int, v: int | None = None, ell: int | None = None,
     if ell is not None:
         if ell <= 3:
             return "ell must exceed 3"
+        if ell >= PRIMALITY_BOUND:  # where is_prime would raise
+            return "ell exceeds the primality bound"
         if not is_prime(ell):
             return "ell is not prime"
         if ell == v:
@@ -561,12 +573,9 @@ def validate_certificate(text: str) -> tuple[bool, str]:
         return False, str(e)
 
     v, ell, q = c["v"], c["ell"], c["q"]
-    # is_prime raises at and above the bound: report it in place of the
-    # ell checks, after those on v
-    big_ell = ell >= PRIMALITY_BOUND
-    reason = _witness_failure(delta, v, None if big_ell else ell)
-    if reason or big_ell:
-        return False, reason or "ell exceeds the primality bound"
+    reason = _witness_failure(delta, v, ell)
+    if reason:
+        return False, reason
 
     lift = lift_sum(ai, bi, v)
     if lift.sigma != c["sigma"]:

@@ -88,6 +88,24 @@ def test_decide_t(capsys):
     assert code == 0 and obj["t"] == "-1/2"
 
 
+@pytest.mark.parametrize("t,lines", [
+    ("3", ["a: 6", "b: 1", "delta: 512",
+           "evidence: marked point Q=(32, 192) on y^2 = x^3 + 4096 satisfies 6Q = O",
+           "j: -8", "q_order: 6", "status: torsion", "t: 3"]),
+    ("7/3", ["a: 14/3", "b: 1", "delta: 2560/9",
+             "evidence: marked point Q=(160/9, 2240/27) on y^2 = x^3 + 102400/81 has "
+             "6Q != O, and rational torsion of a j=0 curve is a subgroup of Z/6, so Q "
+             "has infinite order",
+             "j: -40/9", "status: infinite", "t: 7/3"]),
+])
+def test_decide_t_table(capsys, t, lines):
+    """--table prints the canonical JSON's keys in their sorted order, and
+    decide-t keeps the line's own model (a = 2t), not the canonical one."""
+    code, out, err = _run(capsys, "decide-t", "--t", t, "--table")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == lines
+
+
 # ---------------------------------------------------------------------------
 # certify / check-cert
 
@@ -212,6 +230,9 @@ _PSI_12 = 318665857834031151167461
     # the message names the flag at fault
     (["frobdet", "--a", "1", "--b", "1", "--q", "12", "--ell", "7"], "q must be prime"),
     (["height", "--d", "0", "--x", "0", "--y", "0"], "d must be nonzero"),
+    # certify names the bound itself, as check-cert does, before any primality test
+    (["certify", "--a", "4", "--b", "1", "--ell", str(PRIMALITY_BOUND)],
+     "ell exceeds the primality bound"),
 ])
 def test_ell_beyond_bases_2_to_37_exits_2(capsys, argv, error):
     code, obj = _run_json(capsys, *argv)

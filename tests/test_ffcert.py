@@ -353,6 +353,19 @@ def test_lift_sum_count_identity(v):
         assert n1 == 1 + len(r.ramified_contributions) + 2 * r.lift_set_size
 
 
+@pytest.mark.parametrize("a,b", [(1, 1), (4, 1), (Fraction(-5, 2), 7), (Fraction(2, 3), 5)])
+def test_count_reads_the_lift_set_fibres_at_every_good_v(a, b):
+    """The same identity at every good v < 200 of both classes mod 3, on
+    the canonical model, where count_curve and lift_sum share one walk."""
+    ai, bi, delta = ffcert._good_int_model(a, b)
+    vs = [v for v in primes_up_to(199) if (6 * delta) % v]
+    assert {v % 3 for v in vs} == {1, 2}
+    for v in vs:
+        r = lift_sum(ai, bi, v)
+        n1 = count_curve(ai, bi, v, 1).curve_count
+        assert n1 == 1 + len(r.ramified_contributions) + 2 * r.lift_set_size, v
+
+
 def test_lift_sum_sigma_order_is_exact():
     """sigma_order is the exact order of sigma under the quotient-model
     group law: k*sigma = O first at k = sigma_order (7 is prime here)."""
