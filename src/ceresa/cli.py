@@ -6,7 +6,9 @@ rationals only ("m" or "m/n"); heights are the sole floating outputs and
 carry explicit error bounds.  Output is canonical JSON by default
 (--table for humans).  Results can be cached in a directory given by
 CERESA_CACHE_DIR or --cache-dir; isomorphic inputs share cache entries
-because keys use the canonical model.
+because keys use the canonical model.  certify and check-cert are never
+cached: a stored certificate would have to be re-proved before it is
+trusted, which costs as much as the search.
 
 Exit codes: 0 success; 2 invalid or degenerate input (Delta = 0, bad
 reduction, malformed point, a prime above ffcert.PRIME_LIMIT, an order
@@ -257,25 +259,15 @@ def _cache_key(config: CliConfig) -> str | None:
         return None  # no key (Delta = 0, a non-prime p, a non-finite bound): run uncached
 
 
-def _sound_certificate(config: CliConfig, result: dict) -> bool:
-    # a replayed certificate must validate, for the requested canonical model
-    ca, cb = canonical_model(config.parameters["a"], config.parameters["b"])
-    return ((result["a"], result["b"]) == (rat_str(ca), rat_str(cb))
-            and ffcert.validate_certificate(certificate_text(result))[0])
-
-
-def _cache_lookup(config: CliConfig, key: str) -> str | None:
-    path = os.path.join(config.cache_path, hashlib.sha256(key.encode()).hexdigest() + ".json")
+def _cache_lookup(cache_dir: str, key: str) -> str | None:
+    path = os.path.join(cache_dir, hashlib.sha256(key.encode()).hexdigest() + ".json")
     # anything but a readable entry of this version and key whose value is a
-    # JSON object is corrupt, and is recomputed; so is a `certify` value
-    # that is not a valid certificate of the requested model
+    # JSON object is corrupt, and is recomputed
     try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
-        value = json.loads(entry["value"])
         if (entry["tool_version"] == __version__ and entry["key"] == key
-                and isinstance(value, dict)
-                and (config.command != "certify" or _sound_certificate(config, value))):
+                and isinstance(json.loads(entry["value"]), dict)):
             return entry["value"]
     except (OSError, ValueError, KeyError, TypeError):
         pass
@@ -319,41 +311,40 @@ def _print_table(result: dict, stream):
             print(f"{k}: {fmt(v)}", file=stream)
 
 
-def _render(config: CliConfig, payload: str) -> tuple[str, str | None]:
-    """The stdout text of a result payload and, for `certify --out`, its
-    certificate text.  A payload of the wrong shape raises AttributeError,
-    KeyError or TypeError."""
-    result = json.loads(payload)
-    cert = certificate_text(result) if config.command == "certify" and config.out_file else None
+def _render(config: CliConfig, payload: str) -> str:
+    """The stdout text of a result payload.  A --table payload of the wrong
+    shape raises AttributeError, KeyError or TypeError."""
     if config.output == "json":
-        return payload + "\n", cert
+        return payload + "\n"
     table = io.StringIO()
-    _print_table(result, table)
-    return table.getvalue(), cert
+    _print_table(json.loads(payload), table)
+    return table.getvalue()
 
 
 def run(config: CliConfig) -> int:
     """Dispatch a parsed command; prints the result and returns the exit code."""
     cache_dir = config.cache_path
-    rendered = None
+    text = None
     try:
-        # check-cert is never cached: a key cannot see the file's contents
-        key = None if cache_dir is None or config.command == "check-cert" else _cache_key(config)
-        payload = None if key is None else _cache_lookup(config, key)
+        # certify and check-cert are never cached: a stored certificate is
+        # worth nothing until re-proved, and a key cannot see a file's contents
+        cached = cache_dir is not None and config.command not in ("certify", "check-cert")
+        key = _cache_key(config) if cached else None
+        payload = None if key is None else _cache_lookup(cache_dir, key)
         if payload is not None:
             try:
-                rendered = _render(config, payload)
+                text = _render(config, payload)
             except (AttributeError, KeyError, TypeError):
                 pass  # a corrupt entry: recomputed and overwritten below
-        if rendered is None:
-            payload = canonical_json(_COMMANDS[config.command](config.parameters))
-            rendered = _render(config, payload)
+        if text is None:
+            result = _COMMANDS[config.command](config.parameters)
+            payload = canonical_json(result)
+            text = _render(config, payload)
             if key is not None:
                 _cache_store(cache_dir, key, payload)
-        text, cert = rendered
-        if cert is not None:
-            with open(config.out_file, "w", encoding="utf-8") as fh:
-                fh.write(cert)
+            if config.out_file is not None:  # certify --out
+                with open(config.out_file, "w", encoding="utf-8") as fh:
+                    fh.write(certificate_text(result))
     except (DegenerateCurve, BadReduction, InvalidHint, ValueError, OSError) as e:
         return _fail(config, str(e), 2)
     except NoCertificateFound as e:

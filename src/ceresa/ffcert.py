@@ -443,7 +443,9 @@ def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
       orbit of 3 points sums to O, so sigma lies in ker(1 - alpha), of order 3.
     Raises NoCertificateFound when the search is exhausted — which is NOT a
     proof of torsion.  A v, q or V_max above PRIME_LIMIT raises ValueError
-    naming it."""
+    naming it, and so does a V_max below 5, which bounds no good prime."""
+    if V_max < 5:
+        raise ValueError("V_max must be >= 5")
     for value, what in ((v, "v"), (q, "q"), (V_max, "V_max")):
         if value is not None:
             _check_size(value, what)
@@ -501,7 +503,7 @@ def certificate_fields(cert: InfinitudeCertificate) -> dict:
 
 def certificate_text(fields: dict) -> str:
     """The canonical text form from certificate_fields, or from any mapping
-    holding the same values (such as a replayed `certify` result)."""
+    holding the same values."""
     lines = [_CERT_HEADER] + [f"{name} = {fields[name]}" for name in _CERT_FIELDS]
     return "\n".join(lines) + "\n"
 

@@ -218,6 +218,19 @@ def test_primes_above_the_limit_exit_2(capsys, argv, name):
     assert obj["error"].endswith(f"exceeds the prime limit {PRIME_LIMIT}")
 
 
+@pytest.mark.parametrize("V_max", ["4", "0", "-5"])
+def test_V_max_below_5_exits_2(capsys, V_max):
+    # 2 and 3 divide 6 Delta, so a bound below 5 holds no good prime
+    code, obj = _run_json(capsys, "certify", "--a", "4", "--b", "1", f"--V-max={V_max}")
+    assert code == 2 and obj["error"] == "V_max must be >= 5"
+    # also when every slot is pinned and nothing is searched
+    code, obj = _run_json(capsys, "certify", "--a", "4", "--b", "1", "--v", "29", "--ell", "5",
+                          "--q", "7", f"--V-max={V_max}")
+    assert code == 2 and obj["error"] == "V_max must be >= 5"
+    code, obj = _run_json(capsys, "certify", "--a", "4", "--b", "1", "--V-max", "5")
+    assert code == 3 and obj["error"].startswith("no witness with v, q <= 5")
+
+
 # the smallest strong pseudoprime to the bases 2 .. 37
 _PSI_12 = 318665857834031151167461
 
@@ -647,46 +660,46 @@ def test_cache_env_var_takes_precedence(capsys, tmp_path, monkeypatch):
 
 def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
-    monkeypatch.chdir(tmp_path)
     cache = tmp_path / "cache"
     decide = ["decide", "--a", "1", "--b", "1"]
-    certify = ["certify", "--a", "4", "--b", "1", "--out", "cert.txt"]
-    other_model = _run(capsys, "certify", "--a", "1", "--b", "1")[1].strip()
 
-    def forged(**fields):
-        # the good entry, with these fields of its value replaced
-        return lambda good: {"value": canonical_json({**json.loads(good["value"]), **fields})}
-
-    # the entry's new text, a dict of fields that replace the good entry's,
-    # or a function of the good entry giving such a dict
+    # the entry's new text, or a dict of fields that replace the good entry's
     cases = [
         (decide, "{not json"), (decide, "[1,2]"), (decide, "7"),  # not an entry
         (decide, {"value": "[1,2]"}), (decide, {"value": 7}),  # not a JSON object
-        # values that parse but that the output stage cannot render
-        (certify, {"value": "{}"}),  # a certificate without fields
+        # a value that parses but that the output stage cannot render
         (decide + ["--table"], {"value": '{"rows": 5}'}),  # rows that are not a list
-        # a certificate that check-cert rejects, with and without --out,
-        # and a valid one for another model, (a, b) = (1, 1)
-        (certify, forged(sigma="(0, 0)", det_value="1")),
-        (certify[:-2], forged(sigma="(0, 0)", det_value="1")),
-        (certify, {"value": other_model}),
     ]
     for argv, corrupt in cases:
         code1, out1, _ = _run(capsys, *argv)
-        cert1 = Path("cert.txt").read_text() if "--out" in argv else None
         shutil.rmtree(cache, ignore_errors=True)
         _run(capsys, *argv, "--cache-dir", str(cache))
         entry_path = cache / _cache_files(cache)[0]
         good = json.loads(entry_path.read_text())
-        if callable(corrupt):
-            corrupt = corrupt(good)
         entry_path.write_text(json.dumps({**good, **corrupt}) if isinstance(corrupt, dict) else corrupt)
-        Path("cert.txt").unlink(missing_ok=True)
         code2, out2, err2 = _run(capsys, *argv, "--cache-dir", str(cache))
         assert code1 == code2 == 0 and out2 == out1 and err2 == "", (argv, corrupt)
-        if cert1 is not None:
-            assert Path("cert.txt").read_text() == cert1
         assert json.loads(entry_path.read_text()) == good
+
+
+def test_certify_is_never_cached(capsys, tmp_path, monkeypatch):
+    """A stored certificate would have to be re-proved before it is trusted,
+    which costs as much as the search: certify prints and writes the same
+    bytes with --cache-dir as without, and stores nothing."""
+    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    cache = tmp_path / "cache"
+    certify = ["certify", "--a", "4", "--b", "1"]
+    for argv in (certify, certify + ["--table"], certify + ["--out", "cert.txt"]):
+        code, out, err = _run(capsys, *argv)
+        cert = Path("cert.txt").read_text() if "--out" in argv else None
+        assert code == 0 and err == ""
+        for _ in range(2):
+            Path("cert.txt").unlink(missing_ok=True)
+            assert _run(capsys, *argv, "--cache-dir", str(cache)) == (code, out, err)
+            if cert is not None:
+                assert Path("cert.txt").read_text() == cert
+        assert not cache.exists() or _cache_files(cache) == []
 
 
 def test_cache_dir_keeps_the_first_error_of_an_invalid_input(capsys, tmp_path, monkeypatch):
