@@ -5,17 +5,18 @@ count, lpoly, frobdet, check-cert.  Curve parameters are parsed as exact
 rationals only ("m" or "m/n"); heights are the sole floating outputs and
 carry explicit error bounds.  Output is canonical JSON by default
 (--table for humans).  Results can be cached in a directory given by
-CERESA_CACHE_DIR or --cache-dir; isomorphic inputs share cache entries
-because keys use the canonical model.  certify and check-cert are never
-cached: a stored certificate would have to be re-proved before it is
-trusted, which costs as much as the search.
+CERESA_CACHE_DIR or --cache-dir (an empty one means no cache); isomorphic
+inputs share cache entries because keys use the canonical model.  certify
+and check-cert are never cached: a stored certificate would have to be
+re-proved before it is trusted, which costs as much as the search.
 
 Exit codes: 0 success; 2 invalid or degenerate input (Delta = 0, bad
 reduction, malformed point, a prime above ffcert.PRIME_LIMIT, an order
 above picard.TORSION_ORDER_LIMIT, an integer at or above
-arith.PRIMALITY_BOUND where a prime is expected, a non-finite scan bound)
-or a file that cannot be read or written (--out, the cache directory, a
-certificate); 3 certificate search exhausted; 4 internal
+arith.PRIMALITY_BOUND where a prime is expected, a non-finite scan bound),
+raised as a ValueError (DegenerateCurve, BadReduction and InvalidHint
+subclass it), or a file that cannot be read or written (--out, the cache
+directory, a certificate); 3 certificate search exhausted; 4 internal
 consistency failure (failed certificate check, a violated invariant); 64
 usage error.  A closed stdout (a reader such as `head` that exits early)
 leaves the code unchanged and prints no traceback.
@@ -40,7 +41,6 @@ from .arith import InvariantViolation, parse_rational, rat_str
 from .elliptic import CurvePoint, WeierstrassCurveQ, on_curve
 from .heights import canonical_height, northcott_scan
 from .picard import (
-    DegenerateCurve,
     PicardCurve,
     canonical_model,
     decide_ceresa,
@@ -50,8 +50,6 @@ from .picard import (
 )
 from . import ffcert
 from .ffcert import (
-    BadReduction,
-    InvalidHint,
     NoCertificateFound,
     certificate_fields,
     certificate_text,
@@ -95,8 +93,7 @@ def _decide_payload(curve: PicardCurve, verdict) -> dict:
 def _cmd_decide(params: dict) -> dict:
     # isomorphic inputs give identical output (and share cache entries):
     # reduce to the canonical model first; the verdict is invariant
-    ca, cb = canonical_model(params["a"], params["b"])
-    curve = PicardCurve(Fraction(ca), Fraction(cb))
+    curve = PicardCurve(*canonical_model(params["a"], params["b"]))
     return _decide_payload(curve, decide_ceresa(curve))
 
 
@@ -108,12 +105,8 @@ def _cmd_decide_t(params: dict) -> dict:
 
 
 def _cmd_certify(params: dict) -> dict:
-    ca, cb = canonical_model(params["a"], params["b"])
-    cert = certify_infinite(
-        Fraction(ca), Fraction(cb),
-        v=params.get("v"), ell=params.get("ell"), q=params.get("q"),
-        V_max=params["V_max"],
-    )
+    cert = certify_infinite(*canonical_model(params["a"], params["b"]), v=params.get("v"),
+                            ell=params.get("ell"), q=params.get("q"), V_max=params["V_max"])
     out = certificate_fields(cert)
     out.update(
         lift_set_size=cert.lift.lift_set_size,
@@ -175,17 +168,9 @@ def _cmd_scan(params: dict) -> dict:
     return result
 
 
-def _count_coefficients(params: dict) -> tuple[int, int]:
-    """(a mod p, b mod p) for `count`."""
-    p = params["p"]
-    return rat_mod_p(params["a"], p), rat_mod_p(params["b"], p)
-
-
 def _cmd_count(params: dict) -> dict:
-    p, i = params["p"], params["i"]
-    a, b = _count_coefficients(params)
-    rec = count_curve(a, b, p, i)
-    return {"a": a, "b": b, "p": p, "i": i, "curve_count": rec.curve_count}
+    rec = count_curve(params["a"], params["b"], params["p"], params["i"])
+    return {"a": rec.a, "b": rec.b, "p": rec.p, "i": rec.i, "curve_count": rec.curve_count}
 
 
 def _cmd_lpoly(params: dict) -> dict:
@@ -246,7 +231,7 @@ def _cache_key(config: CliConfig) -> str | None:
     try:
         if config.command == "count":
             # the computation lives over F_p: key on the reduced coefficients
-            params["a"], params["b"] = _count_coefficients(params)
+            params["a"], params["b"] = (rat_mod_p(params[k], params["p"]) for k in "ab")
         elif "a" in params and "b" in params:
             # isomorphic inputs share entries: replace (a, b) by the canonical model
             params["a"], params["b"] = canonical_model(params["a"], params["b"])
@@ -255,7 +240,7 @@ def _cache_key(config: CliConfig) -> str | None:
                 params[k] = rat_str(val)
         return canonical_json(
             {"tool_version": __version__, "command": config.command, "params": params})
-    except (DegenerateCurve, ValueError):
+    except ValueError:
         return None  # no key (Delta = 0, a non-prime p, a non-finite bound): run uncached
 
 
@@ -345,7 +330,7 @@ def run(config: CliConfig) -> int:
             if config.out_file is not None:  # certify --out
                 with open(config.out_file, "w", encoding="utf-8") as fh:
                     fh.write(certificate_text(result))
-    except (DegenerateCurve, BadReduction, InvalidHint, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         return _fail(config, str(e), 2)
     except NoCertificateFound as e:
         return _fail(config, str(e), 3)
@@ -464,7 +449,7 @@ def _config_from_args(args) -> CliConfig:
         if name in ("command", "table", "cache_dir", "out") or value is None:
             continue
         params[name] = parse_rational(value) if name in rationals else value
-    cache_dir = os.environ.get("CERESA_CACHE_DIR") or args.cache_dir
+    cache_dir = os.environ.get("CERESA_CACHE_DIR") or args.cache_dir or None  # "" is no cache
     return CliConfig(
         command=args.command,
         parameters=params,

@@ -203,9 +203,7 @@ def torsion_j0_Q(d: Fraction) -> TorsionGroupQ:
     integer d1 = d * den^6 (d1 = 1, -432 up to a 6th power), so exact roots
     decide it without factoring d.  Generators are returned on the *given*
     curve, from the d1-model by (x, y) -> (x/den^2, y/den^3)."""
-    d = Fraction(d)
-    if d == 0:
-        raise ValueError("d must be nonzero")
+    d = WeierstrassCurveQ(d).d
     den = d.denominator
     d1 = d.numerator * den**5
     if (m := int_root(d1, 6)) is not None:

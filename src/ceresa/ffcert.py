@@ -16,6 +16,7 @@ v = 1 (mod 3) sigma has order dividing 3.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .arith import (
     inv_mod,
     is_prime,
     parse_rational,
+    poly_eval,
     poly_mul,
     primes_up_to,
     rat_str,
@@ -50,16 +52,18 @@ from .elliptic import (
 from .picard import DegenerateCurve, canonical_model, discriminant
 
 
-class BadReduction(Exception):
-    """The prime divides 6 or the discriminant of the canonical model."""
+class BadReduction(ValueError):
+    """The prime divides 6 or the discriminant of the canonical model.  A
+    ValueError, like every invalid input (the CLI's exit 2)."""
 
 
 class NoCertificateFound(Exception):
     """Search exhausted without a witness.  Not a proof of torsion."""
 
 
-class InvalidHint(Exception):
-    """A user-supplied (v, ell, q) hint fails a named check."""
+class InvalidHint(ValueError):
+    """A user-supplied (v, ell, q) hint fails a named check.  A ValueError,
+    like every invalid input (the CLI's exit 2)."""
 
 
 # The largest prime accepted for p, v and q (and for the search bound
@@ -143,9 +147,9 @@ def count_curve(a, b, p: int, i: int) -> CountRecord:
     the fibres of w = x^2 that lift_sum also walks: 1 + #(y above x = 0)
     + 2 #(pairs (w, y)).  Over F_{p^3} the count is read off the
     L-polynomial, whose unknowns the counts over F_p and F_{p^2} fix."""
+    av, bv = rat_mod_p(a, p), rat_mod_p(b, p)
     if i not in (1, 2, 3):
         raise ValueError("extension degree must be 1, 2, or 3")
-    av, bv = rat_mod_p(a, p), rat_mod_p(b, p)
     _check_good(p, discriminant(av, bv))
 
     size = p**i
@@ -312,15 +316,6 @@ def _elementary_from_power_sums(s: list, n: int) -> list:
     return e
 
 
-def _char_value(e: list, c: int) -> int:
-    """prod (c - x) over the numbers x with elementary symmetric functions
-    e: sum_k (-1)^k e_k c^(n-k)."""
-    out = 0
-    for k, ek in enumerate(e):
-        out = out * c + (-1) ** k * ek
-    return out
-
-
 def frobenius_det(a, b, q: int, ell: int) -> FrobeniusDetResult:
     """det(Fr_q - 1) on V = H^3(J)(2) + H^1(C)(1), computed exactly from the
     L-polynomial factors L_E and L_P with no matrices.
@@ -357,14 +352,14 @@ def frobenius_det(a, b, q: int, ell: int) -> FrobeniusDetResult:
     sP = _power_sums(rec.L_P.coefficients, 16)
     p8 = [8] + [sE[k] * _exact_div(sP[k] ** 2 - sP[2 * k] - 4 * q**k, 2,
                                    f"halving for p_{k}") for k in range(1, 9)]
-    e8 = _elementary_from_power_sums(p8, 8)
-
+    # chi_8 = sum_k (-1)^k e_k T^(8-k) and chi = T^6 L_C(1/T), lowest degree first
+    chi8 = [(-1) ** k * ek for k, ek in enumerate(_elementary_from_power_sums(p8, 8))][::-1]
     L_C = rec.L_C
-    det6 = sum(c * q ** (6 - k) for k, c in enumerate(L_C.coefficients))  # chi(q)
-    det20 = _char_value(e8, q * q) * q**12 * det6**2
+    det6 = poly_eval(L_C.coefficients[::-1], q)  # chi(q)
+    det20 = poly_eval(chi8, q * q) * q**12 * det6**2
     det_value = Fraction(det6, q**6) * Fraction(det20, q**40)
 
-    det_untwisted = L_C(1) * _char_value(e8, 1) * L_C(q) ** 2
+    det_untwisted = L_C(1) * poly_eval(chi8, 1) * L_C(q) ** 2
 
     unit = det_value != 0 and det_value.numerator % ell != 0 and det_value.denominator % ell != 0
     return FrobeniusDetResult(q, ell, det_value, unit, det_untwisted)
@@ -441,6 +436,9 @@ def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
       the lift set and the ramified points to themselves and induces an
       automorphism alpha of E fixing O, with 1 + alpha + alpha^2 = 0.  Each
       orbit of 3 points sums to O, so sigma lies in ker(1 - alpha), of order 3.
+    "v + 1 has a prime above 3" is tested without factoring, as
+    gcd(v + 1, 6**11) < v + 1: exact because v + 1 <= PRIME_LIMIT + 1 < 2**11,
+    so the 2- and 3-parts of v + 1 divide 6**11.
     Raises NoCertificateFound when the search is exhausted — which is NOT a
     proof of torsion.  A v, q or V_max above PRIME_LIMIT raises ValueError
     naming it, and so does a V_max below 5, which bounds no good prime."""
@@ -457,9 +455,8 @@ def certify_infinite(a, b, v: int | None = None, ell: int | None = None,
 
     hinted = v is not None and ell is not None and q is not None
     primes = [p for p in primes_up_to(V_max) if (6 * delta) % p]
-    searched = [p for p in primes if p % 3 == 2 and any(
-        f > 3 and (p + 1) % f == 0
-        for f in ([ell] if ell is not None else factorize(p + 1)))]
+    searched = [p for p in primes if p % 3 == 2 and (
+        (p + 1) % ell == 0 if ell is not None else math.gcd(p + 1, 6**11) < p + 1)]
     for v_try in [v] if v is not None else searched:
         lift = lift_sum(ai, bi, v_try)
         n = lift.sigma_order

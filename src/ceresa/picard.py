@@ -51,8 +51,9 @@ from .elliptic import (
 )
 
 
-class DegenerateCurve(Exception):
-    """The model y^3 = x^4 + ax^2 + b is singular: Delta = 16b(a^2-4b) = 0."""
+class DegenerateCurve(ValueError):
+    """The model y^3 = x^4 + ax^2 + b is singular: Delta = 16b(a^2-4b) = 0.
+    A ValueError, like every invalid input (the CLI's exit 2)."""
 
 
 def discriminant(a, b):

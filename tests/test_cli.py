@@ -191,6 +191,12 @@ def test_cache_dir_that_is_a_file_exits_2(capsys, tmp_path, monkeypatch, below):
     assert blocker.read_text() == "not a directory"
 
 
+def test_invalid_input_errors_are_value_errors():
+    """Every exit-2 error of the library is a ValueError."""
+    for cls in (ceresa.DegenerateCurve, ceresa.BadReduction, ceresa.InvalidHint):
+        assert issubclass(cls, ValueError), cls
+
+
 def test_certify_invalid_hint_exits_2(capsys):
     code, obj = _run_json(capsys, "certify", "--a", "4", "--b", "1", "--v", "4")
     assert code == 2 and obj["error"] == "v is not prime"
@@ -423,6 +429,16 @@ def test_count(capsys, tmp_path, monkeypatch):
     code, obj = _run_json(capsys, "count", "--a", "1", "--b", "1", "--p", "0",
                           "--cache-dir", str(tmp_path / "cache"))
     assert code == 2 and obj["error"] == "p must be prime"
+    # p first, then a and b mod p, then the degree; the same with a cache
+    for argv, error in [
+        (["--p", "9"], "p must be prime"),
+        (["--a=1/11", "--p", "11"], "denominator of 1/11 is not invertible mod 11"),
+        (["--p", "1511"], "extension degree must be 1, 2, or 3"),
+    ]:
+        argv = ["count", "--a=1", "--b=1"] + argv + ["--i", "4"]
+        for cache in ([], ["--cache-dir", str(tmp_path / "cache")]):
+            assert _run_json(capsys, *argv, *cache) == (2, {"error": error}), (argv, cache)
+    assert not (tmp_path / "cache").exists()
 
 
 def test_lpoly(capsys):
@@ -700,6 +716,24 @@ def test_certify_is_never_cached(capsys, tmp_path, monkeypatch):
             if cert is not None:
                 assert Path("cert.txt").read_text() == cert
         assert not cache.exists() or _cache_files(cache) == []
+
+
+def test_empty_cache_dir_means_no_cache(capsys, tmp_path, monkeypatch):
+    """--cache-dir "" runs uncached, as an empty CERESA_CACHE_DIR does: a
+    valid entry planted in the working directory is not replayed, and no
+    file is written."""
+    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+    cache, work = tmp_path / "cache", tmp_path / "work"
+    code, uncached, _ = _run(capsys, *_DECIDE)
+    assert code == 0
+    _run(capsys, *_DECIDE, "--cache-dir", str(cache))
+    [name] = _cache_files(cache)
+    entry = json.loads((cache / name).read_text())
+    entry["value"] = canonical_json({"sentinel": True})
+    work.mkdir()
+    (work / name).write_text(json.dumps(entry))
+    monkeypatch.chdir(work)
+    assert _call_with_effects(capsys, tmp_path, _DECIDE + ["--cache-dir", ""]) == (0, uncached, [])
 
 
 def test_cache_dir_keeps_the_first_error_of_an_invalid_input(capsys, tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ceresa import ffcert
-from ceresa.arith import PRIMALITY_BOUND, InvariantViolation, primes_up_to
+from ceresa.arith import PRIMALITY_BOUND, InvariantViolation, factorize, primes_up_to
 from ceresa.cli import main
 from ceresa.elliptic import Genus1Point
 from ceresa.ffcert import (
@@ -241,6 +241,16 @@ def test_count_rejects_bad_input():
         count_curve(1, 1, 5, 4)
     with pytest.raises(ValueError, match="p must be prime"):
         count_curve(1, 1, 9, 1)
+
+
+def test_count_checks_p_and_the_coefficients_before_the_degree():
+    """The order of `ceresa count`: p, then a and b mod p, then i."""
+    with pytest.raises(ValueError, match="^p must be prime$"):
+        count_curve(1, 1, 9, 4)
+    with pytest.raises(ValueError, match="^denominator of 1/11 is not invertible mod 11$"):
+        count_curve(Fraction(1, 11), 1, 11, 4)
+    with pytest.raises(ValueError, match="^extension degree must be 1, 2, or 3$"):
+        count_curve(1, 1, 1511, 4)
 
 
 def test_count_reduces_rational_coefficients_mod_p():
@@ -851,6 +861,22 @@ def test_certify_search_never_lifts_where_e_has_order_v_plus_1(monkeypatch):
     with pytest.raises(InvalidHint, match="^ell does not divide sigma_order$"):
         certify_infinite(4, 1, v=31, ell=5, q=7)
     assert lifted == [31]
+
+
+@pytest.mark.parametrize("ell", [None, 5, 7, 13])
+def test_certify_v_filter_is_exact_at_every_prime(monkeypatch, ell):
+    """The search lifts at every prime v <= PRIME_LIMIT with v = 2 (mod 3)
+    where v + 1 has a candidate ell: the hinted one, or else any prime
+    factor above 3, and at no other v.  Delta = -48 for (1, 1), so every
+    v > 3 is good.  sigma_order = 1 admits no ell, so the search visits
+    every v it would lift and then gives up."""
+    lifted = []
+    monkeypatch.setattr(ffcert, "lift_sum",
+                        lambda a, b, v: lifted.append(v) or SimpleNamespace(sigma_order=1))
+    with pytest.raises(NoCertificateFound):
+        certify_infinite(1, 1, ell=ell, V_max=PRIME_LIMIT)
+    assert lifted == [v for v in primes_up_to(PRIME_LIMIT) if v > 3 and v % 3 == 2 and any(
+        f > 3 and (v + 1) % f == 0 for f in ([ell] if ell else factorize(v + 1)))]
 
 
 def test_certify_hint_that_cannot_divide_and_exhausted_searches_exit_codes(capsys):
