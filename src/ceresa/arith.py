@@ -175,8 +175,7 @@ def rational_root(z, k: int) -> Fraction | None:
 
 def rat_str(r) -> str:
     """A rational as "m" or "m/n" in lowest terms."""
-    r = Fraction(r)
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    return str(Fraction(r))
 
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?", re.ASCII)
@@ -289,8 +288,6 @@ def roots_mod_p(f: list[int], p: int) -> list[int]:
         return list(range(p))
     if len(h) == 1:
         return []
-    lead_inv = pow(h[-1], -1, p)
-    h = [c * lead_inv % p for c in h]
     r = [1]  # t^e mod h for e the bits of p read so far
     for bit in bin(p)[2:]:
         r = _poly_rem_mod_p([c % p for c in poly_mul(r, r)], h, p)

@@ -4,34 +4,29 @@ Subcommands: decide, decide-t, certify, enumerate-torsion, height, scan,
 count, lpoly, frobdet, check-cert.  Curve parameters are parsed as exact
 rationals only ("m" or "m/n"); heights are the sole floating outputs and
 carry explicit error bounds.  Output is canonical JSON by default
-(--table for humans).  Results can be cached in a directory given by
-CERESA_CACHE_DIR or --cache-dir (an empty one means no cache); isomorphic
-inputs share cache entries because keys use the canonical model.  certify
-and check-cert are never cached: a stored certificate would have to be
-re-proved before it is trusted, which costs as much as the search.
+(--table for humans).  Every result is computed on each call; nothing is
+stored between calls.
 
 Exit codes: 0 success; 2 invalid or degenerate input (Delta = 0, bad
 reduction, malformed point, a prime above ffcert.PRIME_LIMIT, an order
 above picard.TORSION_ORDER_LIMIT, an integer at or above
 arith.PRIMALITY_BOUND where a prime is expected, a non-finite scan bound),
 raised as a ValueError (DegenerateCurve, BadReduction and InvalidHint
-subclass it), or a file that cannot be read or written (--out, the cache
-directory, a certificate); 3 certificate search exhausted; 4 internal
-consistency failure (failed certificate check, a violated invariant); 64
-usage error.  A closed stdout (a reader such as `head` that exits early)
-leaves the code unchanged and prints no traceback.
+subclass it), or a file that cannot be read or written (--out, a
+certificate); 3 certificate search exhausted; 4 internal consistency
+failure (failed certificate check, a violated invariant); 64 usage error.
+A closed stdout (a reader such as `head` that exits early) leaves the code
+unchanged and prints no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,7 +52,6 @@ from .ffcert import (
     count_curve,
     frobenius_det,
     lpoly,
-    rat_mod_p,
 )
 
 class UsageError(Exception):
@@ -72,7 +66,6 @@ def canonical_json(obj) -> str:
 class CliConfig:
     command: str
     parameters: dict
-    cache_path: str | None
     output: str  # "json" | "table"
     out_file: str | None = None
 
@@ -91,8 +84,8 @@ def _decide_payload(curve: PicardCurve, verdict) -> dict:
 
 
 def _cmd_decide(params: dict) -> dict:
-    # isomorphic inputs give identical output (and share cache entries):
-    # reduce to the canonical model first; the verdict is invariant
+    # isomorphic inputs give identical output: reduce to the canonical
+    # model first; the verdict is invariant
     curve = PicardCurve(*canonical_model(params["a"], params["b"]))
     return _decide_payload(curve, decide_ceresa(curve))
 
@@ -224,57 +217,6 @@ _COMMANDS = {
 
 
 # ---------------------------------------------------------------------------
-# cache
-
-def _cache_key(config: CliConfig) -> str | None:
-    params = dict(config.parameters)
-    try:
-        if config.command == "count":
-            # the computation lives over F_p: key on the reduced coefficients
-            params["a"], params["b"] = (rat_mod_p(params[k], params["p"]) for k in "ab")
-        elif "a" in params and "b" in params:
-            # isomorphic inputs share entries: replace (a, b) by the canonical model
-            params["a"], params["b"] = canonical_model(params["a"], params["b"])
-        for k, val in params.items():
-            if isinstance(val, Fraction):
-                params[k] = rat_str(val)
-        return canonical_json(
-            {"tool_version": __version__, "command": config.command, "params": params})
-    except ValueError:
-        return None  # no key (Delta = 0, a non-prime p, a non-finite bound): run uncached
-
-
-def _cache_lookup(cache_dir: str, key: str) -> str | None:
-    path = os.path.join(cache_dir, hashlib.sha256(key.encode()).hexdigest() + ".json")
-    # anything but a readable entry of this version and key whose value is a
-    # JSON object is corrupt, and is recomputed
-    try:
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-        if (entry["tool_version"] == __version__ and entry["key"] == key
-                and isinstance(json.loads(entry["value"]), dict)):
-            return entry["value"]
-    except (OSError, ValueError, KeyError, TypeError):
-        pass
-    return None
-
-
-def _cache_store(cache_dir: str, key: str, value: str):
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, hashlib.sha256(key.encode()).hexdigest() + ".json")
-    entry = {"tool_version": __version__, "key": key, "value": value}
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-# ---------------------------------------------------------------------------
 # output + dispatch
 
 def _print_table(result: dict, stream):
@@ -297,8 +239,8 @@ def _print_table(result: dict, stream):
 
 
 def _render(config: CliConfig, payload: str) -> str:
-    """The stdout text of a result payload.  A --table payload of the wrong
-    shape raises AttributeError, KeyError or TypeError."""
+    """The stdout text of a canonical JSON payload: --table parses it back,
+    so its lines follow the sorted keys."""
     if config.output == "json":
         return payload + "\n"
     table = io.StringIO()
@@ -308,28 +250,12 @@ def _render(config: CliConfig, payload: str) -> str:
 
 def run(config: CliConfig) -> int:
     """Dispatch a parsed command; prints the result and returns the exit code."""
-    cache_dir = config.cache_path
-    text = None
     try:
-        # certify and check-cert are never cached: a stored certificate is
-        # worth nothing until re-proved, and a key cannot see a file's contents
-        cached = cache_dir is not None and config.command not in ("certify", "check-cert")
-        key = _cache_key(config) if cached else None
-        payload = None if key is None else _cache_lookup(cache_dir, key)
-        if payload is not None:
-            try:
-                text = _render(config, payload)
-            except (AttributeError, KeyError, TypeError):
-                pass  # a corrupt entry: recomputed and overwritten below
-        if text is None:
-            result = _COMMANDS[config.command](config.parameters)
-            payload = canonical_json(result)
-            text = _render(config, payload)
-            if key is not None:
-                _cache_store(cache_dir, key, payload)
-            if config.out_file is not None:  # certify --out
-                with open(config.out_file, "w", encoding="utf-8") as fh:
-                    fh.write(certificate_text(result))
+        result = _COMMANDS[config.command](config.parameters)
+        text = _render(config, canonical_json(result))
+        if config.out_file is not None:  # certify --out
+            with open(config.out_file, "w", encoding="utf-8") as fh:
+                fh.write(certificate_text(result))
     except (ValueError, OSError) as e:
         return _fail(config, str(e), 2)
     except NoCertificateFound as e:
@@ -337,7 +263,7 @@ def run(config: CliConfig) -> int:
     except InvariantViolation as e:
         return _fail(config, str(e), 4)
     # a certificate that fails a check is reported on stdout, with exit 4
-    failed_check = config.command == "check-cert" and not json.loads(payload)["ok"]
+    failed_check = config.command == "check-cert" and not result["ok"]
     return _emit(text, 4 if failed_check else 0)
 
 
@@ -386,8 +312,6 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--table", action="store_true",
                         help="human-readable output instead of JSON")
-        sp.add_argument("--cache-dir", default=None,
-                        help="cache directory (CERESA_CACHE_DIR overrides)")
         return sp
 
     sp = add("decide", "torsion/infinite verdict for the curve (a, b)")
@@ -446,14 +370,12 @@ def _config_from_args(args) -> CliConfig:
     params: dict = {}
     rationals = {"a", "b", "t", "d", "x", "y"}
     for name, value in vars(args).items():
-        if name in ("command", "table", "cache_dir", "out") or value is None:
+        if name in ("command", "table", "out") or value is None:
             continue
         params[name] = parse_rational(value) if name in rationals else value
-    cache_dir = os.environ.get("CERESA_CACHE_DIR") or args.cache_dir or None  # "" is no cache
     return CliConfig(
         command=args.command,
         parameters=params,
-        cache_path=cache_dir,
         output="table" if args.table else "json",
         out_file=getattr(args, "out", None),
     )

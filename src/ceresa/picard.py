@@ -154,8 +154,8 @@ def decide_ceresa_t(t: Fraction) -> CeresaVerdict:
 def canonical_model(a: Fraction, b: Fraction) -> tuple[int, int]:
     """The lambda^6-scaling representative with integer coefficients and no
     prime u with u^6 | a and u^12 | b (only the b condition when a = 0).
-    Isomorphic inputs share a canonical model, which keys caches and
-    good-reduction tests."""
+    Isomorphic inputs share a canonical model; the CLI's decide and
+    certify report on it, and the good-reduction tests read it."""
     a, b = Fraction(a), Fraction(b)
     lam = math.lcm(a.denominator, b.denominator)
     ai = int(a * lam**6)

@@ -1,11 +1,10 @@
 """End-to-end tests of the command-line interface: JSON contract, exit
-codes, table output, certificate files, and the result cache."""
+codes, table output, and certificate files."""
 
 import ast
 import hashlib
 import json
 import os
-import shutil
 import subprocess
 import sys
 import time
@@ -176,19 +175,6 @@ def test_certify_unwritable_out_exits_2(capsys, tmp_path):
     assert code == 2
     assert str(target) in obj["error"]
     assert not target.exists()
-
-
-@pytest.mark.parametrize("below", [False, True])
-def test_cache_dir_that_is_a_file_exits_2(capsys, tmp_path, monkeypatch, below):
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
-    blocker = tmp_path / "blocker"
-    blocker.write_text("not a directory")
-    cache_dir = blocker / "cache" if below else blocker
-    code, obj = _run_json(capsys, "decide", "--a", "1", "--b", "1",
-                          "--cache-dir", str(cache_dir))
-    assert code == 2
-    assert str(cache_dir) in obj["error"]
-    assert blocker.read_text() == "not a directory"
 
 
 def test_invalid_input_errors_are_value_errors():
@@ -382,28 +368,19 @@ def test_scan_stdout_digest_pinned(capsys):
 
 
 @pytest.mark.parametrize("bound", ["nan", "inf", "1e400", "-inf"])
-def test_scan_non_finite_bound_exits_2(capsys, tmp_path, monkeypatch, bound):
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+def test_scan_non_finite_bound_exits_2(capsys, bound):
     code, obj = _run_json(capsys, "scan", "--B", "3", f"--bound={bound}")
     assert code == 2 and obj == {"error": "bound must be finite"}
-    # with a cache the input has no key, so it runs uncached: nothing is stored
-    code, obj = _run_json(capsys, "scan", "--B", "3", f"--bound={bound}",
-                          "--cache-dir", str(tmp_path))
-    assert code == 2 and obj == {"error": "bound must be finite"}
-    assert list(tmp_path.iterdir()) == []
 
 
-def test_scan_above_the_box_limit_exits_2(capsys, tmp_path, monkeypatch):
+def test_scan_above_the_box_limit_exits_2(capsys, monkeypatch):
     def no_work(t):
         raise AssertionError("the limit is checked before any work")
 
     monkeypatch.setattr(heights, "decide_ceresa_t", no_work)
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
     B = SCAN_B_LIMIT + 1
-    for cache in ([], ["--cache-dir", str(tmp_path)]):
-        code, obj = _run_json(capsys, "scan", "--B", str(B), *cache)
-        assert code == 2 and obj == {"error": f"B = {B} exceeds the scan limit {SCAN_B_LIMIT}"}
-    assert list(tmp_path.iterdir()) == []
+    code, obj = _run_json(capsys, "scan", "--B", str(B))
+    assert code == 2 and obj == {"error": f"B = {B} exceeds the scan limit {SCAN_B_LIMIT}"}
 
 
 def test_canonical_json_rejects_non_finite_floats():
@@ -415,8 +392,7 @@ def test_canonical_json_rejects_non_finite_floats():
 # ---------------------------------------------------------------------------
 # count / lpoly / frobdet
 
-def test_count(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+def test_count(capsys):
     code, obj = _run_json(capsys, "count", "--a", "1", "--b", "1",
                           "--p", "11", "--i", "2")
     assert code == 0
@@ -425,20 +401,16 @@ def test_count(capsys, tmp_path, monkeypatch):
     assert code == 2
     code, obj = _run_json(capsys, "count", "--a", "1", "--b", "1", "--p", "9")
     assert code == 2 and obj["error"] == "p must be prime"
-    # p is checked before the cache key reduces a and b mod p
-    code, obj = _run_json(capsys, "count", "--a", "1", "--b", "1", "--p", "0",
-                          "--cache-dir", str(tmp_path / "cache"))
+    code, obj = _run_json(capsys, "count", "--a", "1", "--b", "1", "--p", "0")
     assert code == 2 and obj["error"] == "p must be prime"
-    # p first, then a and b mod p, then the degree; the same with a cache
+    # p first, then a and b mod p, then the degree
     for argv, error in [
         (["--p", "9"], "p must be prime"),
         (["--a=1/11", "--p", "11"], "denominator of 1/11 is not invertible mod 11"),
         (["--p", "1511"], "extension degree must be 1, 2, or 3"),
     ]:
         argv = ["count", "--a=1", "--b=1"] + argv + ["--i", "4"]
-        for cache in ([], ["--cache-dir", str(tmp_path / "cache")]):
-            assert _run_json(capsys, *argv, *cache) == (2, {"error": error}), (argv, cache)
-    assert not (tmp_path / "cache").exists()
+        assert _run_json(capsys, *argv) == (2, {"error": error}), argv
 
 
 def test_lpoly(capsys):
@@ -503,7 +475,7 @@ def test_closed_stdout_keeps_exit_code(tmp_path, argv, code):
     r, w = os.pipe()
     os.close(r)  # the read end is closed before the CLI writes
     src = str(Path(ceresa.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "CERESA_CACHE_DIR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "ceresa.cli", *argv]
     try:
@@ -541,7 +513,7 @@ def test_finite_field_commands_do_not_import_sympy(tmp_path):
     their integers factor by trial division alone.  The torsion locus, run
     last, still loads it."""
     src = str(Path(ceresa.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "CERESA_CACHE_DIR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _SYMPY_FREE_SCRIPT, str(tmp_path / "cert.txt")],
                           capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
@@ -582,25 +554,18 @@ def _call_with_effects(capsys, root, argv):
 _DECIDE = ["decide", "--a", "1", "--b", "1"]
 
 
-@pytest.mark.parametrize("first,first_code,second,env_first", [
-    (["certify", "--a", "4", "--b", "1", "--out", "{d}/f"], 0, ["certify", "--a", "4", "--b", "1"], False),
-    (_DECIDE + ["--table"], 0, _DECIDE, False),
-    (["decide", "--a", "1"], 64, _DECIDE, False),
-    (["--version"], 0, _DECIDE, False),
-    (_DECIDE + ["--cache-dir", "{d}/cache"], 0, ["decide", "--a", "1", "--b", "2"], False),
-    (_DECIDE, 0, ["decide", "--a", "1", "--b", "2"], True),
-], ids=["out-file", "table", "usage-error", "version", "cache-dir", "cache-env"])
-def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, monkeypatch,
-                                           first, first_code, second, env_first):
+@pytest.mark.parametrize("first,first_code,second", [
+    (["certify", "--a", "4", "--b", "1", "--out", "{d}/f"], 0, ["certify", "--a", "4", "--b", "1"]),
+    (_DECIDE + ["--table"], 0, _DECIDE),
+    (["decide", "--a", "1"], 64, _DECIDE),
+    (["--version"], 0, _DECIDE),
+], ids=["out-file", "table", "usage-error", "version"])
+def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, first, first_code, second):
     """The parser is built once per process; a call after any other call
     prints and writes exactly what it does on a freshly built parser."""
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
     cli._build_parser.cache_clear()  # the first call below builds the parser
-    if env_first:
-        monkeypatch.setenv("CERESA_CACHE_DIR", str(tmp_path / "env-cache"))
     assert main([arg.format(d=tmp_path) for arg in first]) == first_code
     capsys.readouterr()
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
     reused = _call_with_effects(capsys, tmp_path, second)
     cli._build_parser.cache_clear()
     fresh = _call_with_effects(capsys, tmp_path, second)
@@ -608,141 +573,29 @@ def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, monkeypatch,
     assert reused[2] == []
 
 
-# ---------------------------------------------------------------------------
-# cache
-
-def _cache_files(path):
-    return sorted(f for f in os.listdir(path) if f.endswith(".json"))
-
-
-def test_cache_stores_and_replays(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
-    cache = tmp_path / "cache"
-    code1, out1, _ = _run(capsys, "decide", "--a", "1", "--b", "1",
-                          "--cache-dir", str(cache))
-    assert code1 == 0
-    files = _cache_files(cache)
-    assert len(files) == 1
-
-    # prove the second run replays the stored payload: replace it with a
-    # sentinel and watch the sentinel come back
-    entry_path = cache / files[0]
-    entry = json.loads(entry_path.read_text())
-    entry["value"] = canonical_json({"sentinel": True})
-    entry_path.write_text(json.dumps(entry))
-    code2, out2, _ = _run(capsys, "decide", "--a", "1", "--b", "1",
-                          "--cache-dir", str(cache))
-    assert code2 == 0
-    assert json.loads(out2) == {"sentinel": True}
-
-
-def test_cache_shared_by_isomorphic_models(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
-    cache = tmp_path / "cache"
-    _run(capsys, "decide", "--a", "1", "--b", "1", "--cache-dir", str(cache))
-    files = _cache_files(cache)
-    assert len(files) == 1
-    entry_path = cache / files[0]
-    entry = json.loads(entry_path.read_text())
-    entry["value"] = canonical_json({"sentinel": "shared"})
-    entry_path.write_text(json.dumps(entry))
-    # an isomorphic rescaling must hit the same entry
-    code, out, _ = _run(capsys, "decide", "--a", "64", "--b", "4096",
-                        "--cache-dir", str(cache))
-    assert code == 0
-    assert json.loads(out) == {"sentinel": "shared"}
-    assert _cache_files(cache) == files
-
-
-def test_cache_distinguishes_commands_and_params(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
-    cache = tmp_path / "cache"
-    _run(capsys, "decide", "--a", "1", "--b", "1", "--cache-dir", str(cache))
-    _run(capsys, "decide", "--a", "1", "--b", "2", "--cache-dir", str(cache))
-    _run(capsys, "decide-t", "--t", "2", "--cache-dir", str(cache))
-    assert len(_cache_files(cache)) == 3
-
-
-def test_cache_env_var_takes_precedence(capsys, tmp_path, monkeypatch):
-    env_cache = tmp_path / "env-cache"
-    flag_cache = tmp_path / "flag-cache"
-    monkeypatch.setenv("CERESA_CACHE_DIR", str(env_cache))
-    code, _, _ = _run(capsys, "decide", "--a", "1", "--b", "1",
-                      "--cache-dir", str(flag_cache))
-    assert code == 0
-    assert env_cache.exists() and len(_cache_files(env_cache)) == 1
-    assert not flag_cache.exists()
-
-
-def test_corrupt_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
-    cache = tmp_path / "cache"
-    decide = ["decide", "--a", "1", "--b", "1"]
-
-    # the entry's new text, or a dict of fields that replace the good entry's
-    cases = [
-        (decide, "{not json"), (decide, "[1,2]"), (decide, "7"),  # not an entry
-        (decide, {"value": "[1,2]"}), (decide, {"value": 7}),  # not a JSON object
-        # a value that parses but that the output stage cannot render
-        (decide + ["--table"], {"value": '{"rows": 5}'}),  # rows that are not a list
-    ]
-    for argv, corrupt in cases:
-        code1, out1, _ = _run(capsys, *argv)
-        shutil.rmtree(cache, ignore_errors=True)
-        _run(capsys, *argv, "--cache-dir", str(cache))
-        entry_path = cache / _cache_files(cache)[0]
-        good = json.loads(entry_path.read_text())
-        entry_path.write_text(json.dumps({**good, **corrupt}) if isinstance(corrupt, dict) else corrupt)
-        code2, out2, err2 = _run(capsys, *argv, "--cache-dir", str(cache))
-        assert code1 == code2 == 0 and out2 == out1 and err2 == "", (argv, corrupt)
-        assert json.loads(entry_path.read_text()) == good
-
-
-def test_certify_is_never_cached(capsys, tmp_path, monkeypatch):
-    """A stored certificate would have to be re-proved before it is trusted,
-    which costs as much as the search: certify prints and writes the same
-    bytes with --cache-dir as without, and stores nothing."""
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+def test_no_result_is_replayed_from_disk(capsys, tmp_path, monkeypatch):
+    """Every verdict is computed: --cache-dir is a usage error, and an entry
+    planted in the layout of the removed result cache (DIR/<sha256 of the
+    key>.json, keyed on the canonical model), with a tampered verdict, is
+    neither read nor rewritten when CERESA_CACHE_DIR names DIR."""
+    decide = ["decide", "--a", "4", "--b", "1"]
+    code, out, err = _run(capsys, *decide, "--cache-dir", str(tmp_path / "flag"))
+    assert (code, out) == (64, "") and err.startswith("usage error:")
+    code, uncached, _ = _run(capsys, *decide)
+    assert code == 0 and json.loads(uncached)["status"] == "infinite"
+    key = canonical_json({"tool_version": ceresa.__version__, "command": "decide",
+                          "params": {"a": 4, "b": 1}})
+    tampered = {**json.loads(uncached), "status": "torsion", "q_order": 3}
+    cache = tmp_path / "cc"
+    cache.mkdir()
+    (cache / (hashlib.sha256(key.encode()).hexdigest() + ".json")).write_text(json.dumps(
+        {"tool_version": ceresa.__version__, "key": key, "value": canonical_json(tampered)}))
+    monkeypatch.setenv("CERESA_CACHE_DIR", str(cache))
     monkeypatch.chdir(tmp_path)
-    cache = tmp_path / "cache"
-    certify = ["certify", "--a", "4", "--b", "1"]
-    for argv in (certify, certify + ["--table"], certify + ["--out", "cert.txt"]):
-        code, out, err = _run(capsys, *argv)
-        cert = Path("cert.txt").read_text() if "--out" in argv else None
-        assert code == 0 and err == ""
-        for _ in range(2):
-            Path("cert.txt").unlink(missing_ok=True)
-            assert _run(capsys, *argv, "--cache-dir", str(cache)) == (code, out, err)
-            if cert is not None:
-                assert Path("cert.txt").read_text() == cert
-        assert not cache.exists() or _cache_files(cache) == []
+    assert _call_with_effects(capsys, tmp_path, decide) == (0, uncached, [])
 
 
-def test_empty_cache_dir_means_no_cache(capsys, tmp_path, monkeypatch):
-    """--cache-dir "" runs uncached, as an empty CERESA_CACHE_DIR does: a
-    valid entry planted in the working directory is not replayed, and no
-    file is written."""
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
-    cache, work = tmp_path / "cache", tmp_path / "work"
-    code, uncached, _ = _run(capsys, *_DECIDE)
-    assert code == 0
-    _run(capsys, *_DECIDE, "--cache-dir", str(cache))
-    [name] = _cache_files(cache)
-    entry = json.loads((cache / name).read_text())
-    entry["value"] = canonical_json({"sentinel": True})
-    work.mkdir()
-    (work / name).write_text(json.dumps(entry))
-    monkeypatch.chdir(work)
-    assert _call_with_effects(capsys, tmp_path, _DECIDE + ["--cache-dir", ""]) == (0, uncached, [])
-
-
-def test_cache_dir_keeps_the_first_error_of_an_invalid_input(capsys, tmp_path, monkeypatch):
-    """Delta = 0 and a non-prime ell: frobdet reports ell with or without a
-    cache, since an input with no cache key runs uncached; nothing is stored."""
-    monkeypatch.delenv("CERESA_CACHE_DIR", raising=False)
+def test_cache_dir_keeps_the_first_error_of_an_invalid_input(capsys):
+    """Delta = 0 and a non-prime ell: frobdet reports ell first."""
     argv = ["frobdet", "--a", "0", "--b", "0", "--q", "11", "--ell", "4"]
-    code1, out1, _ = _run(capsys, *argv)
-    code2, out2, _ = _run(capsys, *argv, "--cache-dir", str(tmp_path))
-    assert code1 == code2 == 2
-    assert out1 == out2 == canonical_json({"error": "ell must be prime"}) + "\n"
-    assert list(tmp_path.iterdir()) == []
+    assert _run(capsys, *argv) == (2, canonical_json({"error": "ell must be prime"}) + "\n", "")

@@ -190,6 +190,10 @@ def test_northcott_scan_bound_zero():
 def test_northcott_scan_validates(monkeypatch):
     with pytest.raises(ValueError):
         northcott_scan(0)
+    # the smallest box is t = 0 alone (t = ±1 is degenerate): Q = (-4, 0) of order 2
+    [row] = northcott_scan(1)
+    assert (row.t, row.verdict.status, row.verdict.q_order) == (0, "torsion", 2)
+    assert (row.height.value, row.height.error_bound) == (0.0, 0.0)
 
     def no_work(t):
         raise AssertionError("the limit is checked before any work")
