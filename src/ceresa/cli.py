@@ -39,7 +39,6 @@ from .picard import (
     PicardCurve,
     canonical_model,
     decide_ceresa,
-    decide_ceresa_t,
     enumerate_torsion_locus,
     invariants,
 )
@@ -93,8 +92,8 @@ def _cmd_decide(params: dict) -> dict:
 def _cmd_decide_t(params: dict) -> dict:
     # the line (2t, 1) itself, not its canonical model: a = 2t in the output
     t = params["t"]
-    verdict = decide_ceresa_t(t)
-    return dict(_decide_payload(PicardCurve(2 * t, Fraction(1)), verdict), t=rat_str(t))
+    curve = PicardCurve(2 * t, Fraction(1))
+    return dict(_decide_payload(curve, decide_ceresa(curve)), t=rat_str(t))
 
 
 def _cmd_certify(params: dict) -> dict:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
 from mpmath.libmp import (
     fone,
     from_int,
@@ -41,6 +40,7 @@ from mpmath.libmp import (
     mpf_shift,
     mpf_sub,
     round_nearest,
+    to_float,
 )
 
 from .arith import InvariantViolation, factorize, int_root
@@ -181,15 +181,17 @@ def canonical_height(E: WeierstrassCurveQ, P: CurvePoint) -> HeightValue:
     root = int_root(x.denominator, 2)
     if root is None:
         raise InvariantViolation(f"denominator of x = {x} is not a square")
-    with mp.workprec(_PREC):
-        total = mp.mpf(_lam_arch(x, d0))
-        for p in sorted(fac.keys() | {2, 3}):
-            coeff = _lam_p_coeff(x, y, d0, p) if root % p else 0
-            if coeff:
-                total += mp.mpf(coeff.numerator) / coeff.denominator * mp.log(p)
-        total += mp.log(root)
-        value = float(total)
-    return HeightValue(value, _ERROR_BOUND)
+    rnd = round_nearest
+    total = _lam_arch(x, d0)
+    for p in sorted(fac.keys() | {2, 3}):
+        coeff = _lam_p_coeff(x, y, d0, p) if root % p else 0
+        if coeff:
+            c = mpf_div(from_int(coeff.numerator, _PREC, rnd), from_int(coeff.denominator),
+                        _PREC, rnd)
+            total = mpf_add(total, mpf_mul(c, mpf_log(from_int(p), _PREC, rnd), _PREC, rnd),
+                            _PREC, rnd)
+    total = mpf_add(total, mpf_log(from_int(root), _PREC, rnd), _PREC, rnd)
+    return HeightValue(to_float(total, rnd=rnd), _ERROR_BOUND)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Invariants and the canonical model (two curves are isomorphic over Q
 exactly when their canonical models agree, and over the closure exactly
 when their j-invariants agree), construction of the genus-1 quotient's
 Weierstrass model E and the sextic twist E^Delta with its marked point Q,
-the Ceresa-cycle torsion decision (torsion iff Q is torsion), and the
-enumeration of the torsion locus on the t-line (a, b) = (2t, 1).
+the Ceresa-cycle torsion decision (torsion iff Q is torsion, which is a
+lookup of Q's order by j: 2 at j = 1, 3 at j = 4, 6 at j = -8, infinite
+elsewhere), and the enumeration of the torsion locus on the t-line
+(a, b) = (2t, 1).
 
 The locus of order N is S_N(t) = g_N(t^2 - 1).  It is factored in
 w = t^2 - 1, where g_N has half the degree, and each irreducible factor h is
@@ -41,7 +43,6 @@ from .elliptic import (
     CurvePoint,
     WeierstrassCurveFp,
     WeierstrassCurveQ,
-    add,
     division_poly,
     genus1_weierstrass_d,
     group_order_fp,
@@ -119,24 +120,32 @@ def associated_curves(c: PicardCurve) -> AssociatedCurves:
     return AssociatedCurves(E, EDelta, Q)
 
 
+# The order of the marked point Q at the three j where it is torsion; at
+# every other j it has infinite order (see decide_ceresa).
+_Q_ORDER_BY_J = {1: 2, 4: 3, -8: 6}
+
+
 def decide_ceresa(c: PicardCurve) -> CeresaVerdict:
     """The Ceresa cycle of y^3 = x^4 + ax^2 + b is torsion iff the marked
     point Q = (a^2-4b, a(a^2-4b)) is torsion on y^2 = x^3 + 4b(a^2-4b)^2.
 
-    Rational torsion on a j = 0 curve embeds in Z/6, so Q is torsion iff
-    6Q = O; q_order is the least k | 6 with kQ = O."""
+    Rational torsion on a j = 0 curve embeds in Z/6, so Q has order 2, 3,
+    6 or infinity, and the order is read off j = -delta/4b (no multiple of
+    Q is computed).  With delta = a^2 - 4b and D = 4b delta^2, Q = (delta,
+    a delta) on y^2 = x^3 + D, and delta, b != 0:
+      - 2Q = O iff a delta = 0 iff a = 0 (j = 1);
+      - 3Q = O iff psi_3(delta) = 3 delta (delta^3 + 4D) = 0 iff
+        delta = -16b iff a^2 = -12b (j = 4);
+      - order 6 makes the torsion Z/6, so D is a sixth power and the only
+        rational 3-torsion has x = 0; then 2Q has order 3 iff
+        x(2Q) = delta (delta^3 - 8D) / 4(delta^3 + D) = 0 iff delta = 32b
+        iff a^2 = 36b (j = -8), where D = (2a/3)^6."""
     assoc = associated_curves(c)
-    E, Q = assoc.EDelta, assoc.Q
-    dtxt = f"y^2 = x^3 + {E.d}"
-    Q2 = add(E, Q, Q)
-    Q3 = add(E, Q2, Q)
-    for k, kQ in ((2, Q2), (3, Q3), (6, add(E, Q3, Q3))):
-        if kQ.inf:
-            return CeresaVerdict(
-                "torsion",
-                k,
-                f"marked point Q={Q} on {dtxt} satisfies {k}Q = O",
-            )
+    Q = assoc.Q
+    dtxt = f"y^2 = x^3 + {assoc.EDelta.d}"
+    k = _Q_ORDER_BY_J.get(invariants(c).j)
+    if k is not None:
+        return CeresaVerdict("torsion", k, f"marked point Q={Q} on {dtxt} satisfies {k}Q = O")
     return CeresaVerdict(
         "infinite",
         None,

@@ -238,6 +238,11 @@ _PSI_12 = 318665857834031151167461
     # certify names the bound itself, as check-cert does, before any primality test
     (["certify", "--a", "4", "--b", "1", "--ell", str(PRIMALITY_BOUND)],
      "ell exceeds the primality bound"),
+    # a p at the bound fails the primality test before the prime limit
+    (["count", "--a", "1", "--b", "1", "--p", str(PRIMALITY_BOUND), "--i", "1"],
+     f"{PRIMALITY_BOUND} is too large to test for primality"),
+    (["lpoly", "--a", "1", "--b", "1", "--p", str(PRIMALITY_BOUND)],
+     f"{PRIMALITY_BOUND} is too large to test for primality"),
 ])
 def test_ell_beyond_bases_2_to_37_exits_2(capsys, argv, error):
     code, obj = _run_json(capsys, *argv)

@@ -188,10 +188,19 @@ def test_torsion_iff_j_in_exceptional_set():
 
 
 def test_verdict_matches_direct_point_order():
-    """The claimed q_order is the actual order of Q on the sextic twist."""
-    for (a, b) in [(0, 2), (6, -3), (6, 1), (2, 1 * 4), (1, 1)]:
+    """The claimed q_order is the actual order of Q on the sextic twist, by
+    chord-tangent multiples of Q: the oracle for decide_ceresa's lookup by j.
+    Inputs: every (a, b) with |a|, |b| <= 12, every t of the B = 20 box, and
+    the order-2, -3 and -6 families (0, s), (6s, -3s^2), (6s, s^2) scaled."""
+    box = {Fraction(m, n) for n in range(1, 21) for m in range(-20, 21)} - {1, -1}
+    scales = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(3)]
+    models = ([(a, b) for a in range(-12, 13) for b in range(-12, 13)]
+              + [(2 * t, 1) for t in box]
+              + [ab for s in scales for ab in ((0, s), (6 * s, -3 * s * s), (6 * s, s * s))])
+    orders = set()
+    for (a, b) in models:
         try:
-            c = PicardCurve(Fraction(a), Fraction(b))
+            c = PicardCurve(a, b)
         except DegenerateCurve:
             continue
         v = decide_ceresa(c)
@@ -202,6 +211,9 @@ def test_verdict_matches_direct_point_order():
                 assert not mul(assoc.EDelta, k, assoc.Q).inf
         else:
             assert not mul(assoc.EDelta, 6, assoc.Q).inf
+        orders.add(v.q_order)
+    # every branch of the lookup was reached
+    assert orders == {None, 2, 3, 6}
 
 
 # ---------------------------------------------------------------------------
