@@ -1,8 +1,10 @@
 """Finite-field certification of infinite-order Ceresa cycles.
 
 Point counts of y^3 = x^4 + ax^2 + b over F_{p^i} (i <= 3), L-polynomials
-in O(p^2) from the splitting Jac(C) ~ E x P into the genus-1 quotient and
-the Prym surface, the lift-set sum sigma on the genus-1 quotient whose
+from the splitting Jac(C) ~ E x P into the genus-1 quotient and the Prym
+surface (O(p) at p = 1 (mod 3), where one cubic character sum gives the
+Prym factor unless it vanishes, and O(p^2) otherwise, from a count over
+F_{p^2}), the lift-set sum sigma on the genus-1 quotient whose
 pushforward is 2D (#C(F_p) and the lift set are read from the same fibres
 of the double cover w = x^2 onto that quotient), the exact Frobenius
 determinant det(Fr_q - 1) on V = H^3(J)(2) + H^1(C)(1) (from the pairing
@@ -67,7 +69,10 @@ class InvalidHint(ValueError):
 
 
 # The largest prime accepted for p, v and q (and for the search bound
-# V_max): lpoly at this size takes about 2 s, and lpoly is O(p^2).
+# V_max).  lpoly is O(p^2) at p = 2 (mod 3) and where the Prym sum
+# vanishes, and takes 1-2 s at this size there; at the other p = 1 (mod 3)
+# it is O(p): a cold `lpoly --a 1 --b 1 --p 1489` takes 0.13 s on a 2-vCPU
+# VM, most of it interpreter start, where the F_{p^2} count took 1.27 s.
 PRIME_LIMIT = 1500
 
 
@@ -117,6 +122,27 @@ def _count_fp2(av: int, bv: int, p: int) -> int:
     return total
 
 
+def _prym_sum(av: int, bv: int, p: int) -> tuple[int, int]:
+    """(A, B) with S = A + B omega = sum over w != 0 of eta(w) chi(g(w)),
+    g(w) = w^2 + av w + bv, in one O(p) pass at p = 1 (mod 3).  Each
+    w != 0 has w^((p-1)/6) = zeta^k, for zeta the first such power of
+    order 6; then eta(w) = (-1)^k is the quadratic character and
+    chi(w) = omega^k a cubic one, with chi(0) = 0."""
+    e = (p - 1) // 6
+    zeta = next(r for r in (pow(w, e, p) for w in range(2, p))
+                if r * r % p != 1 and r * r * r % p != 1)
+    index = {pow(zeta, k, p): k for k in range(6)}
+    k6 = [0] + [index[pow(w, e, p)] for w in range(1, p)]
+    # c[3 j + m]: the w with eta(w) = (-1)^j and chi(g(w)) = omega^m
+    c = [0] * 6
+    for w in range(1, p):
+        z = (w * (w + av) + bv) % p
+        if z:
+            c[k6[w] % 2 * 3 + k6[z] % 3] += 1
+    s0, s1, s2 = (c[m] - c[3 + m] for m in range(3))
+    return s0 - s2, s1 - s2  # omega^2 = -1 - omega
+
+
 def _fibres(av: int, bv: int, p: int) -> tuple[list[int], list[tuple[int, int]]]:
     """The fibres of the double cover (x, y) -> (w, y) = (x^2, y) from
     C: y^3 = x^4 + av x^2 + bv onto y^3 = w^2 + av w + bv over F_p: the y
@@ -145,8 +171,8 @@ def count_curve(a, b, p: int, i: int) -> CountRecord:
     number of cube roots of x^4 + ax^2 + b (one smooth point at infinity).
     Rational a and b are reduced mod p first.  Over F_p the sum is read off
     the fibres of w = x^2 that lift_sum also walks: 1 + #(y above x = 0)
-    + 2 #(pairs (w, y)).  Over F_{p^3} the count is read off the
-    L-polynomial, whose unknowns the counts over F_p and F_{p^2} fix."""
+    + 2 #(pairs (w, y)).  Over F_{p^2} and F_{p^3} the count is read off
+    the L-polynomial."""
     av, bv = rat_mod_p(a, p), rat_mod_p(b, p)
     if i not in (1, 2, 3):
         raise ValueError("extension degree must be 1, 2, or 3")
@@ -159,10 +185,8 @@ def count_curve(a, b, p: int, i: int) -> CountRecord:
     elif i == 1:
         ys, pairs = _fibres(av, bv, p)
         n = 1 + len(ys) + 2 * len(pairs)
-    elif i == 2:
-        n = _count_fp2(av, bv, p)
     else:
-        n = size + 1 - _power_sums(_lpoly_cached(av, bv, p).L_C.coefficients, 3)[3]
+        n = size + 1 - _power_sums(_lpoly_cached(av, bv, p).L_C.coefficients, i)[i]
 
     if (n - size - 1) ** 2 > 36 * size:
         raise InvariantViolation(f"Weil bound violated: {n} points over F_{p}^{i}")
@@ -199,14 +223,55 @@ def _lpoly_cached(av: int, bv: int, p: int) -> LPolyRecord:
     """L_C = L_E * L_P for the curve with coefficients reduced mod p, so
     that curves congruent mod p share the entry.  Jac(C) is isogenous to
     E x P, so L_P = 1 - a1 T + a2 T^2 - p a1 T^3 + p^2 T^4 has two
-    unknowns: the power sums of the Frobenius roots over F_p and F_{p^2}
-    are those of E plus those of P."""
+    unknowns.  The power sums of the Frobenius roots over F_p are those of
+    E plus those of P, so #C(F_p) and #E(F_p) give a1.  a2 comes from one
+    of two sources.
+
+    At p = 1 (mod 3), from S = A + B omega = sum_{w != 0} eta(w) chi(g(w))
+    (see _prym_sum), when S != 0:
+
+        L_P = 1 + Tr(S) T + (N(S) + p Tr(S^2) / N(S)) T^2 + p Tr(S) T^3 + p^2 T^4,
+
+    with Tr(S) = 2A - B, N(S) = A^2 - AB + B^2, Tr(S^2) = 2A^2 - 2AB - B^2.
+    Proof.  F_p holds a cube root of unity zeta, so the automorphism
+    y -> zeta y is defined over F_p and commutes with Frobenius, which
+    therefore preserves the chi-eigenspace of H^1(P), of dimension 2: P
+    carries the 4-dimensional part of H^1(C) on which the involution
+    x -> -x acts by -1, and y -> zeta y has no eigenvalue 1 on H^1(C),
+    whose invariants are H^1 of the quotient (x, y) -> x, of genus 0.  Let
+    alpha, beta be the Frobenius eigenvalues on it.  The number of y with
+    y^3 = z is 1 + chi(z) + chi-bar(z), so by the Lefschetz trace formula
+    (for Frobenius composed with each power of y -> zeta y) the trace on
+    the chi-eigenspace of H^1(C) is -sum_x chi(g(x^2)), after swapping chi
+    and chi-bar if need be (the L_P above is the same for S and S-bar).
+    That sum is sum_w (1 + eta(w)) chi(g(w)), whose eta-part is the
+    Prym's, so alpha + beta = -S.  By Weil, |alpha| = |beta| = sqrt(p), so
+    alpha-bar = p / alpha, and the conjugate eigenspace carries p/alpha,
+    p/beta, with sum p (alpha + beta) / (alpha beta) = -S-bar: so
+    alpha beta = p S / S-bar.  Hence L_P = Q(T) Q-bar(T) with
+    Q = 1 + S T + (p S / S-bar) T^2, which expands to the line above.
+    The T coefficient is checked against -a1 from the counts.
+
+    At p = 2 (mod 3), or where S = 0, from #C(F_{p^2}) (_count_fp2, in
+    O(p^2)): its power sum is that of E plus that of P.
+
+    Either way a T^2 coefficient that is not an integer is an
+    InvariantViolation, and so is an L_C without points or failing the
+    functional equation."""
     c1 = count_curve(av, bv, p, 1).curve_count
-    c2 = count_curve(av, bv, p, 2).curve_count
     ap = p + 1 - group_order_fp(WeierstrassCurveFp(genus1_weierstrass_d(av, bv) % p, p))
     a1 = p + 1 - c1 - ap
-    s2P = p * p + 1 - c2 - (ap * ap - 2 * p)
-    a2, r = divmod(a1 * a1 - s2P, 2)
+    A, B = _prym_sum(av, bv, p) if p % 3 == 1 else (0, 0)
+    if A or B:
+        if a1 != B - 2 * A:
+            raise InvariantViolation(f"#C(F_p) gives a1 = {a1}, the Prym sum "
+                                     f"{B - 2 * A}, at p={p}")
+        norm = A * A - A * B + B * B
+        num, den = norm * norm + p * (2 * A * A - 2 * A * B - B * B), norm
+    else:
+        s2P = p * p + 1 - _count_fp2(av, bv, p) - (ap * ap - 2 * p)
+        num, den = a1 * a1 - s2P, 2
+    a2, r = divmod(num, den)
     if r:
         raise InvariantViolation(f"Prym coefficient a2 is not integral at p={p}")
     L_E = IntPolynomial((1, -ap, p))
@@ -221,9 +286,11 @@ def _lpoly_cached(av: int, bv: int, p: int) -> LPolyRecord:
 
 
 def lpoly(a, b, p: int) -> LPolyRecord:
-    """L-polynomial of C over F_p in O(p^2), factored as L_E * L_P with L_E
-    from the genus-1 quotient's Weierstrass model and L_P, the Prym factor,
-    from the counts of C over F_p and F_{p^2}."""
+    """L-polynomial of C over F_p, factored as L_E * L_P with L_E from the
+    genus-1 quotient's Weierstrass model and L_P, the Prym factor, from
+    #C(F_p) and either one cubic character sum, in O(p) at p = 1 (mod 3)
+    unless the sum is 0, or #C(F_{p^2}), in O(p^2) otherwise (see
+    _lpoly_cached)."""
     ai, bi, delta = _good_int_model(a, b)
     _check_good(p, delta)
     return _lpoly_cached(ai % p, bi % p, p)
@@ -562,7 +629,7 @@ def validate_certificate(text: str) -> tuple[bool, str]:
         c = parse_certificate(text)
     except ValueError as e:
         return False, str(e)
-    # the checks below cost O(v) and O(q^2): bound the primes first
+    # the checks below cost O(v) and up to O(q^2): bound the primes first
     for what in ("v", "q"):
         if c[what] > PRIME_LIMIT:
             return False, f"{what} exceeds the prime limit"

@@ -45,7 +45,7 @@ from mpmath.libmp import (
 
 from .arith import InvariantViolation, factorize, int_root
 from .elliptic import CurvePoint, WeierstrassCurveQ, torsion_points
-from .picard import PicardCurve, associated_curves, decide_ceresa_t
+from .picard import PicardCurve, _verdict, associated_curves
 
 _ARCH_TERMS = 40
 _PREC = 80  # bits for the archimedean series and the sum of local terms
@@ -228,10 +228,11 @@ def northcott_scan(B: int, bound: float = math.inf) -> list[NorthcottRow]:
     rows = []
     by_t = {}
     for t in ts:
-        verdict = decide_ceresa_t(t)
+        c = PicardCurve(2 * t, Fraction(1))
+        assoc = associated_curves(c)
+        verdict = _verdict(c, assoc)
         h = by_t.get(-t)
         if h is None:
-            assoc = associated_curves(PicardCurve(2 * t, Fraction(1)))
             h = by_t[t] = canonical_height(assoc.EDelta, assoc.Q)
         if (verdict.status == "torsion") != (h.value == 0.0):
             raise InvariantViolation(f"t = {t}: verdict {verdict.status} but height {h.value}")

@@ -140,7 +140,11 @@ def decide_ceresa(c: PicardCurve) -> CeresaVerdict:
         rational 3-torsion has x = 0; then 2Q has order 3 iff
         x(2Q) = delta (delta^3 - 8D) / 4(delta^3 + D) = 0 iff delta = 32b
         iff a^2 = 36b (j = -8), where D = (2a/3)^6."""
-    assoc = associated_curves(c)
+    return _verdict(c, associated_curves(c))
+
+
+def _verdict(c: PicardCurve, assoc: AssociatedCurves) -> CeresaVerdict:
+    """decide_ceresa for a curve whose associated_curves are already built."""
     Q = assoc.Q
     dtxt = f"y^2 = x^3 + {assoc.EDelta.d}"
     k = _Q_ORDER_BY_J.get(invariants(c).j)

@@ -379,10 +379,10 @@ def test_scan_non_finite_bound_exits_2(capsys, bound):
 
 
 def test_scan_above_the_box_limit_exits_2(capsys, monkeypatch):
-    def no_work(t):
+    def no_work(c):
         raise AssertionError("the limit is checked before any work")
 
-    monkeypatch.setattr(heights, "decide_ceresa_t", no_work)
+    monkeypatch.setattr(heights, "associated_curves", no_work)
     B = SCAN_B_LIMIT + 1
     code, obj = _run_json(capsys, "scan", "--B", str(B))
     assert code == 2 and obj == {"error": f"B = {B} exceeds the scan limit {SCAN_B_LIMIT}"}

@@ -199,6 +199,80 @@ def test_lpoly_odd_prym_coefficient_is_an_invariant_violation(monkeypatch):
         ffcert._lpoly_cached.cache_clear()
 
 
+def _by_fp2_route(a, b, p):
+    """(L_C, #C(F_{p^2}), #C(F_{p^3})) with L_P from #C(F_p), a naive #E(F_p)
+    and the O(p^2) count over F_{p^2}: the route lpoly takes where the
+    Prym sum is unavailable."""
+    c1 = count_curve(a, b, p, 1).curve_count
+    c2 = ffcert._count_fp2(a, b, p)
+    ap = p + 1 - _naive_weierstrass_count(16 * (a * a - 4 * b) % p, p)
+    a1 = p + 1 - c1 - ap
+    a2 = (a1 * a1 - (p * p + 1 - c2 - (ap * ap - 2 * p))) // 2
+    L_P = (1, -a1, a2, -p * a1, p * p)
+    L_C = [sum(e * L_P[k - i] for i, e in enumerate((1, -ap, p)) if 0 <= k - i <= 4)
+           for k in range(7)]
+    s1, s2 = p + 1 - c1, p * p + 1 - c2
+    s3 = -(L_C[1] * s2 + L_C[2] * s1) - 3 * L_C[3]
+    return tuple(L_C), c2, p**3 + 1 - s3
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 31, 37, 43])
+def test_prym_sum_route_matches_the_fp2_route_on_every_curve_mod_p(p):
+    """At p = 1 (mod 3) lpoly reads L_P off one cubic character sum, and
+    count over F_{p^2} and F_{p^3} reads L_C: all three equal the values
+    the count over F_{p^2} gives, for every good (a, b) mod p."""
+    for a in range(p):
+        for b in range(p):
+            if not _good(a, b, p):
+                continue
+            L_C, c2, c3 = _by_fp2_route(a, b, p)
+            assert lpoly(a, b, p).L_C.coefficients == L_C, (a, b)
+            assert count_curve(a, b, p, 2).curve_count == c2, (a, b)
+            assert count_curve(a, b, p, 3).curve_count == c3, (a, b)
+
+
+# S = 0: a = 0 at p = 7 (mod 12), two curves at p = 13, and two of the
+# benchmark's lpoly_sweep curves at p = 7
+_ZERO_PRYM_SUM = [(0, 1, 7), (0, 1, 19), (0, 1, 31), (1, 5, 13), (2, 7, 13),
+                  (-28, 2, 7), (28, 18, 7)]
+
+
+@pytest.mark.parametrize("a,b,p", _ZERO_PRYM_SUM + [(1, 1, 13), (1, 1, 11)])
+def test_lpoly_counts_over_fp2_only_where_the_prym_sum_is_unavailable(monkeypatch, a, b, p):
+    """S = 0 leaves alpha beta undetermined, and at p = 2 (mod 3) there is no
+    cubic character: exactly there lpoly falls back to _count_fp2."""
+    calls = []
+    real = ffcert._count_fp2
+    monkeypatch.setattr(ffcert, "_count_fp2", lambda *k: calls.append(k) or real(*k))
+    fallback = (a, b, p) in _ZERO_PRYM_SUM or p % 3 == 2
+    if p % 3 == 1:
+        assert (ffcert._prym_sum(a % p, b % p, p) == (0, 0)) == fallback
+    ffcert._lpoly_cached.cache_clear()
+    try:
+        assert lpoly(a, b, p).L_C.coefficients == _by_fp2_route(a % p, b % p, p)[0]
+    finally:
+        ffcert._lpoly_cached.cache_clear()
+    assert len(calls) == 1 + fallback  # _by_fp2_route calls it once
+
+
+def test_lpoly_prym_sum_disagreeing_with_the_count_is_an_invariant_violation(monkeypatch):
+    """A Prym sum off by one moves Tr(S) by 2, away from the a1 that
+    #C(F_p) and #E(F_p) give: lpoly says so."""
+    real = ffcert._prym_sum
+
+    def off_by_one(av, bv, p):
+        A, B = real(av, bv, p)
+        return A + 1, B
+
+    monkeypatch.setattr(ffcert, "_prym_sum", off_by_one)
+    ffcert._lpoly_cached.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="the Prym sum"):
+            lpoly(1, 1, 13)
+    finally:
+        ffcert._lpoly_cached.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # point counts
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
-from ceresa import arith, heights
+from ceresa import arith, heights, picard
 from ceresa.arith import InvariantViolation, factorize
 from ceresa.cli import main
 from ceresa.elliptic import (
@@ -115,15 +115,15 @@ def test_scan_computes_one_height_per_pm_t_pair(monkeypatch):
     height per pair; the verdict is still decided for every t, and the two
     rows of a pair agree in everything but t."""
     heights_of, verdicts_of = [], []
-    real_height, real_decide = heights.canonical_height, heights.decide_ceresa_t
+    real_height, real_verdict = heights.canonical_height, heights._verdict
 
     def counted_height(E, P):
         heights_of.append((E.d, P.x, P.y))
         return real_height(E, P)
 
     monkeypatch.setattr(heights, "canonical_height", counted_height)
-    monkeypatch.setattr(heights, "decide_ceresa_t",
-                        lambda t: verdicts_of.append(t) or real_decide(t))
+    monkeypatch.setattr(heights, "_verdict",
+                        lambda c, assoc: verdicts_of.append(c.a / 2) or real_verdict(c, assoc))
     rows = northcott_scan(12)
     by_t = {r.t: r for r in rows}
     assert verdicts_of == [r.t for r in rows]
@@ -133,6 +133,18 @@ def test_scan_computes_one_height_per_pm_t_pair(monkeypatch):
         m = by_t[-t]
         assert (r.verdict.status, r.verdict.q_order) == (m.verdict.status, m.verdict.q_order)
         assert (r.height.value, r.height.error_bound) == (m.height.value, m.height.error_bound)
+
+
+def test_scan_builds_each_curve_once(monkeypatch):
+    """One associated_curves per row of the B = 20 box (509 t), shared by the
+    verdict and the height.  Both bindings are counted: heights' own and the
+    one decide_ceresa calls."""
+    real = picard.associated_curves
+    calls = []
+    for module in (picard, heights):
+        monkeypatch.setattr(module, "associated_curves", lambda c: calls.append(c) or real(c))
+    rows = northcott_scan(20)
+    assert len(calls) == len(rows) == 509
 
 
 def test_quadraticity_rational_model():
@@ -195,10 +207,10 @@ def test_northcott_scan_validates(monkeypatch):
     assert (row.t, row.verdict.status, row.verdict.q_order) == (0, "torsion", 2)
     assert (row.height.value, row.height.error_bound) == (0.0, 0.0)
 
-    def no_work(t):
+    def no_work(c):
         raise AssertionError("the limit is checked before any work")
 
-    monkeypatch.setattr(heights, "decide_ceresa_t", no_work)
+    monkeypatch.setattr(heights, "associated_curves", no_work)
     B = SCAN_B_LIMIT + 1
     with pytest.raises(ValueError, match=f"^B = {B} exceeds the scan limit {SCAN_B_LIMIT}$"):
         northcott_scan(B)
