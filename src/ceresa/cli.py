@@ -4,30 +4,28 @@ Subcommands: decide, decide-t, certify, enumerate-torsion, height, scan,
 count, lpoly, frobdet, check-cert.  Curve parameters are parsed as exact
 rationals only ("m" or "m/n"); heights are the sole floating outputs and
 carry explicit error bounds.  Output is canonical JSON by default
-(--table for humans).  Every result is computed on each call; nothing is
-stored between calls.
+(--table for humans, with the keys in the JSON's sorted order).  Every
+result is computed on each call; nothing is stored between calls.
 
-Exit codes: 0 success; 2 invalid or degenerate input (Delta = 0, bad
-reduction, malformed point, a prime above ffcert.PRIME_LIMIT, an order
-above picard.TORSION_ORDER_LIMIT, an integer at or above
-arith.PRIMALITY_BOUND where a prime is expected, a non-finite scan bound),
-raised as a ValueError (DegenerateCurve, BadReduction and InvalidHint
-subclass it), or a file that cannot be read or written (--out, a
-certificate); 3 certificate search exhausted; 4 internal consistency
-failure (failed certificate check, a violated invariant); 64 usage error.
-A closed stdout (a reader such as `head` that exits early) leaves the code
-unchanged and prints no traceback.
-"""
+main(argv) returns the exit code and never raises: 0 success; 2 invalid
+or degenerate input (Delta = 0, bad reduction, malformed point, a prime
+above ffcert.PRIME_LIMIT, an order above picard.TORSION_ORDER_LIMIT, an
+integer at or above arith.PRIMALITY_BOUND where a prime is expected, a
+non-finite scan bound), raised as a ValueError (DegenerateCurve,
+BadReduction and InvalidHint subclass it), or a file that cannot be read
+or written (--out, a certificate, one longer than CERT_SIZE_LIMIT); 3
+certificate search exhausted; 4 internal consistency failure (failed
+certificate check, a violated invariant); 64 usage error.  A closed
+stdout (a reader such as `head` that exits early) leaves the code
+unchanged and prints no traceback."""
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -61,12 +59,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-@dataclass
-class CliConfig:
-    command: str
-    parameters: dict
-    output: str  # "json" | "table"
-    out_file: str | None = None
+# A certificate whose fields parse is under 80 KB (a header line and eight
+# fields, each number capped by Python's int-string limit); check-cert
+# reads no more than this
+CERT_SIZE_LIMIT = 1 << 20  # characters
 
 
 # ---------------------------------------------------------------------------
@@ -192,85 +188,57 @@ def _cmd_check_cert(params: dict) -> dict:
     path = params["path"]
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(CERT_SIZE_LIMIT + 1)
     except OSError as e:
         raise ValueError(f"cannot read certificate: {e}") from None
     except UnicodeDecodeError as e:
         raise ValueError(f"cannot read certificate: {e}: {path!r}") from None
+    if len(text) > CERT_SIZE_LIMIT:
+        raise ValueError(f"cannot read certificate: more than {CERT_SIZE_LIMIT} "
+                         f"characters: {path!r}")
     ok, reason = ffcert.validate_certificate(text)
     return {"ok": ok, "reason": reason}
-
-
-_COMMANDS = {
-    "decide": _cmd_decide,
-    "decide-t": _cmd_decide_t,
-    "certify": _cmd_certify,
-    "enumerate-torsion": _cmd_enumerate,
-    "height": _cmd_height,
-    "scan": _cmd_scan,
-    "count": _cmd_count,
-    "lpoly": _cmd_lpoly,
-    "frobdet": _cmd_frobdet,
-    "check-cert": _cmd_check_cert,
-}
 
 
 # ---------------------------------------------------------------------------
 # output + dispatch
 
-def _print_table(result: dict, stream):
-    def fmt(v):
-        return json.dumps(v) if isinstance(v, (dict, list)) else str(v)
-
+def _table(result: dict) -> str:
+    """The --table text of a result: its keys in the JSON's sorted order."""
     if "rows" in result:
-        rows = result["rows"]
         cols = ["t", "status", "q_order", "value", "error_bound"]
-        print("\t".join(cols), file=stream)
-        for r in rows:
-            print("\t".join(str(r.get(c, "-")) for c in cols), file=stream)
+        lines = ["\t".join(cols)]
+        lines += ["\t".join(str(r.get(c, "-")) for c in cols) for r in result["rows"]]
     elif "entries" in result:
-        for e in result["entries"]:
-            polys = "; ".join(e["polynomials"]) or "(none)"
-            print(f"N={e['order']}: {polys}", file=stream)
+        lines = [f"N={e['order']}: {'; '.join(e['polynomials']) or '(none)'}"
+                 for e in result["entries"]]
     else:
-        for k, v in result.items():
-            print(f"{k}: {fmt(v)}", file=stream)
+        lines = [f"{k}: {json.dumps(v) if isinstance(v, (dict, list)) else v}"
+                 for k, v in sorted(result.items())]
+    return "".join(line + "\n" for line in lines)
 
 
-def _render(config: CliConfig, payload: str) -> str:
-    """The stdout text of a canonical JSON payload: --table parses it back,
-    so its lines follow the sorted keys."""
-    if config.output == "json":
-        return payload + "\n"
-    table = io.StringIO()
-    _print_table(json.loads(payload), table)
-    return table.getvalue()
-
-
-def run(config: CliConfig) -> int:
-    """Dispatch a parsed command; prints the result and returns the exit code."""
+def _run(handler, params: dict, table: bool, out: str | None) -> int:
+    """Compute, render and print one command's result; returns the exit code."""
     try:
-        result = _COMMANDS[config.command](config.parameters)
-        text = _render(config, canonical_json(result))
-        if config.out_file is not None:  # certify --out
-            with open(config.out_file, "w", encoding="utf-8") as fh:
+        result = handler(params)
+        text = _table(result) if table else canonical_json(result) + "\n"
+        if out is not None:  # certify --out
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(certificate_text(result))
     except (ValueError, OSError) as e:
-        return _fail(config, str(e), 2)
+        error, code = str(e), 2
     except NoCertificateFound as e:
-        return _fail(config, str(e), 3)
+        error, code = str(e), 3
     except InvariantViolation as e:
-        return _fail(config, str(e), 4)
-    # a certificate that fails a check is reported on stdout, with exit 4
-    failed_check = config.command == "check-cert" and not result["ok"]
-    return _emit(text, 4 if failed_check else 0)
-
-
-def _fail(config: CliConfig, message: str, code: int) -> int:
-    if config.output == "json":
-        return _emit(canonical_json({"error": message}) + "\n", code)
-    print(f"error: {message}", file=sys.stderr)
-    return code
+        error, code = str(e), 4
+    else:
+        # a certificate that fails a check is reported on stdout, with exit 4
+        return _emit(text, 4 if handler is _cmd_check_cert and not result["ok"] else 0)
+    if table:
+        print(f"error: {error}", file=sys.stderr)
+        return code
+    return _emit(canonical_json({"error": error}) + "\n", code)
 
 
 def _emit(text: str, code: int) -> int:
@@ -307,20 +275,21 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, handler):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--table", action="store_true",
                         help="human-readable output instead of JSON")
+        sp.set_defaults(run=handler)
         return sp
 
-    sp = add("decide", "torsion/infinite verdict for the curve (a, b)")
+    sp = add("decide", "torsion/infinite verdict for the curve (a, b)", _cmd_decide)
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
 
-    sp = add("decide-t", "verdict on the line (a, b) = (2t, 1)")
+    sp = add("decide-t", "verdict on the line (a, b) = (2t, 1)", _cmd_decide_t)
     sp.add_argument("--t", required=True)
 
-    sp = add("certify", "search or validate an infinite-order certificate")
+    sp = add("certify", "search or validate an infinite-order certificate", _cmd_certify)
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--v", type=int, default=None)
@@ -329,68 +298,56 @@ def _build_parser() -> _Parser:
     sp.add_argument("--V-max", dest="V_max", type=int, default=200)
     sp.add_argument("--out", default=None, help="write the certificate text here")
 
-    sp = add("enumerate-torsion", "minimal polynomials of torsion parameters t")
+    sp = add("enumerate-torsion", "minimal polynomials of torsion parameters t", _cmd_enumerate)
     sp.add_argument("--N-max", dest="N_max", type=int, required=True)
 
-    sp = add("height", "canonical height of (x, y) on y^2 = x^3 + d")
+    sp = add("height", "canonical height of (x, y) on y^2 = x^3 + d", _cmd_height)
     sp.add_argument("--d", required=True)
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
 
-    sp = add("scan", "heights over the t-line for |num|, den <= B")
+    sp = add("scan", "heights over the t-line for |num|, den <= B", _cmd_scan)
     sp.add_argument("--B", type=int, required=True)
     sp.add_argument("--bound", type=float, default=None,
                     help="only report rows with height <= bound")
 
-    sp = add("count", "number of points of the curve over F_{p^i}")
+    sp = add("count", "number of points of the curve over F_{p^i}", _cmd_count)
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--i", type=int, default=1)
 
-    sp = add("lpoly", "L-polynomial of the curve at p with its factorization")
+    sp = add("lpoly", "L-polynomial of the curve at p with its factorization", _cmd_lpoly)
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--p", type=int, required=True)
 
-    sp = add("frobdet", "det(Fr_q - 1) on V, exactly")
+    sp = add("frobdet", "det(Fr_q - 1) on V, exactly", _cmd_frobdet)
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
 
-    sp = add("check-cert", "re-validate a certificate file")
+    sp = add("check-cert", "re-validate a certificate file", _cmd_check_cert)
     sp.add_argument("path")
 
     return parser
 
 
-def _config_from_args(args) -> CliConfig:
-    params: dict = {}
-    rationals = {"a", "b", "t", "d", "x", "y"}
-    for name, value in vars(args).items():
-        if name in ("command", "table", "out") or value is None:
-            continue
-        params[name] = parse_rational(value) if name in rationals else value
-    return CliConfig(
-        command=args.command,
-        parameters=params,
-        output="table" if args.table else "json",
-        out_file=getattr(args, "out", None),
-    )
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command line; returns its exit code (0, 2, 3, 4 or 64)."""
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
+        params = vars(_build_parser().parse_args(argv))
+        handler, table, out = params.pop("run"), params.pop("table"), params.pop("out", None)
+        for name in ("a", "b", "t", "d", "x", "y"):
+            if name in params:
+                params[name] = parse_rational(params[name])
     except (UsageError, ValueError) as e:  # ValueError: a malformed rational
         print(f"usage error: {e}", file=sys.stderr)
         return 64
     except SystemExit as e:  # --help / --version
         return int(e.code or 0)
-    return run(config)
+    return _run(handler, params, table, out)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 codes, table output, and certificate files."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,12 +14,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import nextprime
 
 import ceresa
 from ceresa import cli, heights, picard
 from ceresa.arith import PRIMALITY_BOUND
-from ceresa.cli import canonical_json, main
+from ceresa.cli import CERT_SIZE_LIMIT, canonical_json, main
 from ceresa.elliptic import INFINITY, CurvePoint, WeierstrassCurveQ, mul
 from ceresa.ffcert import PRIME_LIMIT
 from ceresa.heights import SCAN_B_LIMIT
@@ -167,6 +170,33 @@ def test_check_cert_table(capsys, tmp_path):
     code, out, err = _run(capsys, "check-cert", str(tmp_path / "missing.txt"), "--table")
     assert code == 2 and out == ""
     assert err.startswith("error: cannot read certificate: [Errno 2]")
+
+
+_TOO_LONG = f"cannot read certificate: more than {CERT_SIZE_LIMIT} characters"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_check_cert_endless_file_exits_2():
+    """An endless file is read no further than the size limit."""
+    src = str(Path(ceresa.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ceresa.cli", "check-cert", "/dev/zero"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert proc.stdout == canonical_json({"error": f"{_TOO_LONG}: '/dev/zero'"}) + "\n"
+
+
+def test_check_cert_size_limit(capsys, tmp_path):
+    """One character past the limit exits 2 before parsing; a file of
+    exactly the limit reaches the parser."""
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text("x" * (CERT_SIZE_LIMIT + 1))
+    assert _run_json(capsys, "check-cert", str(cert_path)) == (
+        2, {"error": f"{_TOO_LONG}: {str(cert_path)!r}"})
+    cert_path.write_text("x" * CERT_SIZE_LIMIT)
+    assert _run_json(capsys, "check-cert", str(cert_path)) == (
+        4, {"ok": False, "reason": "malformed certificate: missing version line"})
 
 
 def test_certify_unwritable_out_exits_2(capsys, tmp_path):
@@ -467,6 +497,60 @@ def test_table_error_goes_to_stderr(capsys):
     assert out == "" and "error:" in err
 
 
+_CERTIFY_EVIDENCE = (
+    "sigma has order divisible by ell; ker(pi^*) has order dividing 4 and ell > 3 is odd, "
+    "so ell divides the order of D with 2D = pi^*(sigma); det(Fr_q - 1) on V is a unit "
+    "mod ell, so H^1(Gal_Q, V) has no ell-torsion and the Abel-Jacobi class of the "
+    "Ceresa cycle is non-torsion.")
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["decide", "--a", "1", "--b", "1"], 0,
+     "a: 1\nb: 1\ndelta: -48\nevidence: marked point Q=(-3, -3) on y^2 = x^3 + 36 has "
+     "6Q != O, and rational torsion of a j=0 curve is a subgroup of Z/6, so Q has infinite "
+     "order\nj: 3/4\nstatus: infinite\n", ""),
+    (["decide-t", "--t", "3"], 0,
+     "a: 6\nb: 1\ndelta: 512\nevidence: marked point Q=(32, 192) on y^2 = x^3 + 4096 "
+     "satisfies 6Q = O\nj: -8\nq_order: 6\nstatus: torsion\nt: 3\n", ""),
+    (["certify", "--a", "4", "--b", "1"], 0,
+     f"a: 4\nb: 1\ndet_value: 44281396224/1977326743\nell: 5\nevidence: {_CERTIFY_EVIDENCE}\n"
+     "lift_set_size: 14\nq: 7\nsigma: (4, 9)\nsigma_order: 10\nunit_mod_ell: True\nv: 29\n",
+     ""),
+    (["enumerate-torsion", "--N-max", "4"], 0,
+     "N=2: t\nN=3: t^2 + 3\nN=4: t^4 + 18*t^2 - 27\n", ""),
+    (["height", "--d", "36", "--x", "-3", "--y", "-3"], 0,
+     "d: 36\nerror_bound: 1e-09\nvalue: 0.4998946621893968\nx: -3\ny: -3\n", ""),
+    (["scan", "--B", "3", "--bound", "0.45"], 0,
+     "t\tstatus\tq_order\tvalue\terror_bound\n-3\ttorsion\t6\t0.0\t0.0\n"
+     "-2\tinfinite\t-\t0.407347720283413\t1e-09\n-3/2\tinfinite\t-\t0.2967051996155455\t1e-09\n"
+     "-1/3\tinfinite\t-\t0.407347720283413\t1e-09\n0\ttorsion\t2\t0.0\t0.0\n"
+     "1/3\tinfinite\t-\t0.407347720283413\t1e-09\n3/2\tinfinite\t-\t0.2967051996155455\t1e-09\n"
+     "2\tinfinite\t-\t0.407347720283413\t1e-09\n3\ttorsion\t6\t0.0\t0.0\n", ""),
+    (["count", "--a", "1", "--b", "1", "--p", "13", "--i", "2"], 0,
+     "a: 1\nb: 1\ncurve_count: 122\ni: 2\np: 13\n", ""),
+    (["lpoly", "--a", "1", "--b", "1", "--p", "13"], 0,
+     "L_C: [1, 6, -6, -110, -78, 1014, 2197]\nL_E: [1, 7, 13]\nL_P: [1, -1, -12, -13, 169]\n"
+     "p: 13\n", ""),
+    (["frobdet", "--a", "1", "--b", "1", "--q", "11", "--ell", "7"], 0,
+     "det_untwisted: 29049104246323668435011663307177984\n"
+     "det_value: 886754046541824/379749833583241\nell: 7\nq: 11\nunit_mod_ell: True\n", ""),
+    (["check-cert", "{cert}"], 0, "ok: True\nreason: certificate verified\n", ""),
+    (["decide", "--a", "2", "--b", "1"], 2, "", "error: degenerate: Delta=0\n"),
+    (["certify", "--a=11/8", "--b=1"], 3, "",
+     "error: no witness with v, q <= 200; this does not prove torsion\n"),
+    (["check-cert", "{tampered}"], 4, "ok: False\nreason: sigma_order mismatch\n", ""),
+], ids=["decide", "decide-t", "certify", "enumerate-torsion", "height", "scan", "count", "lpoly",
+        "frobdet", "check-cert", "decide-exit-2", "certify-exit-3", "check-cert-exit-4"])
+def test_table_output_of_every_subcommand(capsys, tmp_path, argv, code, out, err):
+    """--table prints every subcommand's keys in the canonical JSON's sorted
+    order, byte for byte; an error goes to stderr with the JSON mode's code."""
+    cert, tampered = tmp_path / "cert.txt", tmp_path / "tampered.txt"
+    assert _run(capsys, "certify", "--a", "4", "--b", "1", "--out", str(cert))[0] == 0
+    tampered.write_text(cert.read_text().replace("sigma_order = 10", "sigma_order = 5"))
+    argv = [arg.format(cert=cert, tampered=tampered) for arg in argv]
+    assert _run(capsys, *argv, "--table") == (code, out, err)
+
+
 @pytest.mark.parametrize("argv,code", [
     (["scan", "--B", "4"], 0),
     (["scan", "--B", "4", "--table"], 0),
@@ -604,3 +688,95 @@ def test_cache_dir_keeps_the_first_error_of_an_invalid_input(capsys):
     """Delta = 0 and a non-prime ell: frobdet reports ell first."""
     argv = ["frobdet", "--a", "0", "--b", "0", "--q", "11", "--ell", "4"]
     assert _run(capsys, *argv) == (2, canonical_json({"error": "ell must be prime"}) + "\n", "")
+
+
+# ---------------------------------------------------------------------------
+# every command line ends with a documented exit code
+
+_HUGE = "7" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1)
+_HOSTILE = ["", " 1", "1/0", "\u0661", "nan", "-1/2", _HUGE]
+_RATIONAL = st.one_of(st.integers(-12, 12),
+                      st.fractions(min_value=-12, max_value=12, max_denominator=9)).map(str)
+
+
+def _ints(lo, hi):
+    """Integers in [lo, hi], primes among them drawn as often as the rest."""
+    primes = [p for p in range(2, hi + 1) if all(p % d for d in range(2, p))]
+    return st.one_of(st.integers(lo, hi), st.sampled_from(primes)).map(str)
+
+
+# per subcommand: (required options, optional options), each with its values;
+# the bounds keep every example fast
+_OPTIONS = {
+    "decide": ({"--a": _RATIONAL, "--b": _RATIONAL}, {}),
+    "decide-t": ({"--t": _RATIONAL}, {}),
+    "certify": ({"--a": _RATIONAL, "--b": _RATIONAL},
+                {"--v": _ints(-5, 200), "--ell": _ints(-5, 200), "--q": _ints(-5, 200),
+                 "--V-max": _ints(-5, 60)}),
+    "enumerate-torsion": ({"--N-max": _ints(-2, 5)}, {}),
+    "height": ({"--d": _RATIONAL, "--x": _RATIONAL, "--y": _RATIONAL}, {}),
+    "scan": ({"--B": _ints(-1, 3)}, {"--bound": st.floats(-1, 2).map(str)}),
+    "count": ({"--a": _RATIONAL, "--b": _RATIONAL, "--p": _ints(-5, 200)}, {"--i": _ints(-1, 4)}),
+    "lpoly": ({"--a": _RATIONAL, "--b": _RATIONAL, "--p": _ints(-5, 200)}, {}),
+    "frobdet": ({"--a": _RATIONAL, "--b": _RATIONAL, "--q": _ints(-5, 200),
+                 "--ell": _ints(-5, 200)}, {}),
+}
+_TOKENS = sorted(_OPTIONS) + ["check-cert"] + sorted(
+    {opt for req, opt_ in _OPTIONS.values() for opt in [*req, *opt_]}) + _HOSTILE
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with its options in any order, now and then one option
+    missing, one value hostile or one stray token; with or without --table."""
+    sub = draw(st.sampled_from(sorted(_OPTIONS) + ["check-cert"]))
+    if sub == "check-cert":
+        args = [draw(st.sampled_from(["{missing}", "{dir}", "{cert}"]))]
+    else:
+        required, optional = _OPTIONS[sub]
+        chosen = [*required] + [o for o in optional if draw(st.booleans())]
+        if draw(st.integers(0, 5)) == 3:
+            chosen.remove(draw(st.sampled_from(sorted(required))))
+        pairs = [[o, draw({**required, **optional}[o])] for o in draw(st.permutations(chosen))]
+        if pairs and draw(st.integers(0, 3)) == 2:
+            draw(st.sampled_from(pairs))[1] = draw(st.sampled_from(_HOSTILE))
+        # "--a -1/2" is a usage error, "--a=-1/2" is not
+        args = [tok for o, v in pairs for tok in ([f"{o}={v}"] if draw(st.booleans()) else [o, v])]
+    argv = [sub, *args] + (["--table"] if draw(st.booleans()) else [])
+    if draw(st.integers(0, 5)) == 3:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TOKENS)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cert_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("certs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", "--a", "4", "--b", "1", "--out", str(root / "cert.txt")]) == 0
+    return root
+
+
+@given(_argvs())
+@settings(max_examples=150, deadline=None)
+def test_main_ends_with_a_documented_exit_code(cert_dir, argv):
+    """main returns 0, 2, 3, 4 or 64 and raises nothing, whatever the argv;
+    in JSON mode stdout is empty or one line of JSON."""
+    argv = [arg.format(missing=cert_dir / "missing.txt", dir=cert_dir, cert=cert_dir / "cert.txt")
+            if arg.startswith("{") else arg for arg in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 64)
+    if "--table" not in argv and out.getvalue():
+        line, end = out.getvalue()[:-1], out.getvalue()[-1]
+        assert end == "\n" and "\n" not in line
+        json.loads(line)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit")
+@pytest.mark.parametrize("argv", [["decide", "--a", _HUGE, "--b", "1"],
+                                  ["lpoly", "--a", "1", "--b", "1", "--p", _HUGE]],
+                         ids=["rational", "int"])
+def test_digits_past_the_int_string_limit_are_a_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (64, "") and err.startswith("usage error:")
